@@ -59,7 +59,6 @@ pub const KERNEL_FILES: &[&str] = &[
     "crates/sparse/src/ops.rs",
     "crates/sparse/src/chain.rs",
     "crates/baselines/src/rwr.rs",
-    "crates/metawalk/src/delta.rs",
 ];
 
 /// The test that pins public span/counter names (`RA0201`).

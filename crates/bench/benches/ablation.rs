@@ -20,7 +20,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use repsim_baselines::ranking::SimilarityAlgorithm;
 use repsim_baselines::{SimRank, SimRankMc};
-use repsim_bench::{citations_small_dblp, citations_tiny_dblp, movies_tiny};
+use repsim_bench::{citations_tiny_dblp, movies_tiny};
 use repsim_metawalk::commuting::{informative_commuting, CommutingCache};
 use repsim_metawalk::{walk, MetaWalk};
 use std::hint::black_box;
@@ -109,50 +109,10 @@ fn bench_matrix_vs_enumeration(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_incremental_maintenance(c: &mut Criterion) {
-    use repsim_graph::GraphBuilder;
-    use repsim_metawalk::incremental::IncrementalCommuting;
-
-    let g = citations_small_dblp();
-    let mw = MetaWalk::parse_in(&g, "paper cite paper cite paper").expect("parseable");
-    let paper = g.labels().get("paper").expect("papers");
-    let cite = g.labels().get("cite").expect("cites");
-    // One extra paper-cite edge as the update under measurement.
-    let g2 = {
-        let mut b = GraphBuilder::from_graph(&g);
-        let p = g.nodes_of_label(paper)[0];
-        let target = g
-            .nodes_of_label(cite)
-            .iter()
-            .copied()
-            .find(|&c| !g.has_edge(p, c))
-            .expect("some non-adjacent cite node");
-        b.edge(p, target).expect("fresh");
-        b.build()
-    };
-    let mut group = c.benchmark_group("ablation/incremental");
-    group.sample_size(20);
-    group.bench_function("recompute-after-edge", |b| {
-        b.iter(|| black_box(informative_commuting(&g2, &mw)))
-    });
-    group.bench_function("delta-propagate-edge", |b| {
-        b.iter_batched(
-            || IncrementalCommuting::new(&g, mw.clone()),
-            |mut inc| {
-                inc.apply_edge_change(&g2, paper, cite);
-                black_box(inc.matrix().nnz())
-            },
-            criterion::BatchSize::LargeInput,
-        )
-    });
-    group.finish();
-}
-
 criterion_group!(
     benches,
     bench_simrank_variants,
     bench_query_engine,
-    bench_incremental_maintenance,
     bench_cache_vs_recompute,
     bench_matrix_vs_enumeration
 );

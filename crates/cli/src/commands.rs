@@ -493,15 +493,17 @@ struct MutateLeg {
 
 /// The `profile --mutate` leg: picks the first graph edge whose endpoint
 /// labels are adjacent in the half walk, removes and re-adds it —
-/// write-ahead logging both operations, pushing each through the
-/// incremental cache maintainer — then re-opens the log from disk and
-/// checks the replayed graph against the live mutation path. The caller
+/// write-ahead logging both operations and evicting the cache entries
+/// each one reaches, then rebuilding them as the next rank would — then
+/// re-opens the log from disk and checks the replayed graph against the
+/// live mutation path. The caller
 /// verifies that ranking over the final graph still matches the original
 /// (remove + re-add restores the walk multiset exactly).
 fn profile_mutate_leg(
     g: &Graph,
     half: &repsim_metawalk::MetaWalk,
     cache: &mut repsim_metawalk::commuting::CommutingCache,
+    par: repsim_sparse::Parallelism,
     budget: &repsim_sparse::Budget,
     wal_override: Option<&str>,
 ) -> Result<MutateLeg, CliError> {
@@ -550,6 +552,9 @@ fn profile_mutate_leg(
         wal.append(&op, fp, budget).map_err(wal_err)?;
         let report = maint.apply_edge_change(cache, &next, la, lb, budget);
         paths.push(report.path().to_owned());
+        cache
+            .try_informative_with(&next, half, par, budget)
+            .map_err(|e| CliError::Command(format!("budget exhausted: {e}")))?;
         cur = next;
     }
     drop(wal);
@@ -582,7 +587,7 @@ fn profile_mutate_leg(
 /// appends a numeric-phase breakdown: how many output rows the adaptive
 /// accumulator routed to the dense tiled path vs the sparse hash path,
 /// and how many column tiles the dense path actually visited. `--mutate`
-/// appends a mutation leg — WAL append, incremental cache maintenance,
+/// appends a mutation leg — WAL append, cache eviction and rebuild,
 /// replay from disk, and a ranking over the mutated graph that must
 /// match the original.
 pub fn profile(args: &Args) -> Result<String, CliError> {
@@ -643,12 +648,13 @@ pub fn profile(args: &Args) -> Result<String, CliError> {
             None => None,
         };
         // Optional mutation leg: WAL-logged remove + re-add of one edge
-        // on the walk, maintained incrementally, replayed from disk.
+        // on the walk, evicted and rebuilt, replayed from disk.
         let mutate = match args.has("mutate") {
             true => Some(profile_mutate_leg(
                 &g,
                 &half,
                 &mut cache,
+                par,
                 &budget,
                 args.get("wal"),
             )?),
@@ -1475,15 +1481,15 @@ mod tests {
         .unwrap();
         assert!(out.contains("mutation leg:"), "{out}");
         assert!(out.contains("2 appended, 2 replayed"), "{out}");
-        // Cold maintainer: the remove rebuilds (warming the incremental
-        // state), the re-add then rides the delta path.
-        assert!(out.contains("rebuild then delta"), "{out}");
+        // Each edge op evicts the warmed half walk; the leg rebuilds it
+        // before the next op, so both report an eviction.
+        assert!(out.contains("evict then evict"), "{out}");
         assert!(out.contains("matches the original bit-for-bit"), "{out}");
-        // The WAL and delta layers landed in the span tree and metrics.
+        // The WAL and eviction layers landed in the span tree and metrics.
         assert!(out.contains("repsim.graph.wal.append"), "{out}");
         assert!(out.contains("repsim.graph.wal.replay"), "{out}");
         assert!(out.contains("repsim.metawalk.delta.apply"), "{out}");
-        assert!(out.contains("repsim.cache.delta.applied"), "{out}");
+        assert!(out.contains("repsim.cache.delta.evictions"), "{out}");
         assert!(std::path::Path::new(&wal).exists(), "wal file persists");
     }
 

@@ -210,7 +210,7 @@ COMMANDS:
                                         --kernel adds the SpGEMM numeric-phase
                                         dense/sparse row and tile breakdown;
                                         --mutate adds a WAL append + replay +
-                                        incremental-maintenance + re-rank leg
+                                        cache-eviction + re-rank leg
   serve        FILE [--addr HOST:PORT] [--snapshot FILE] [--wal FILE]
                [--queue-cap N] [--port-file FILE] [--fault-injection]
                [--metrics-journal FILE] [--metrics-interval-ms N]

@@ -91,13 +91,15 @@ impl<'g> QueryEngine<'g> {
     /// `m_half` must be the informative commuting matrix of `half` on
     /// `g`. Its shape is validated against the graph's label partitions
     /// here; content integrity (checksums, graph fingerprint) is the
-    /// snapshot loader's job before calling.
+    /// snapshot loader's job before calling. An owned `Csr` is moved in;
+    /// an `Arc<Csr>` (a commuting-cache entry) is shared, not copied.
     pub fn try_from_half_matrix(
         g: &'g Graph,
         half: MetaWalk,
-        m_half: Csr,
+        m_half: impl Into<Arc<Csr>>,
         par: Parallelism,
     ) -> Result<Self, ExecError> {
+        let m_half = m_half.into();
         let nrows = g.nodes_of_label(half.source()).len();
         let ncols = g.nodes_of_label(half.target()).len();
         if m_half.nrows() != nrows || m_half.ncols() != ncols {
@@ -111,7 +113,7 @@ impl<'g> QueryEngine<'g> {
         Ok(QueryEngine {
             g,
             half,
-            m_half: Arc::new(m_half),
+            m_half,
             diag: Arc::new(diag),
             par,
         })

@@ -21,6 +21,7 @@
 //! \*-marked entity labels (including its flanking hops) is binarized.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use repsim_graph::biadjacency::biadjacency;
 use repsim_graph::{Graph, LabelId};
@@ -230,14 +231,18 @@ pub fn count_between(
 /// same plan (final paragraph of §4.3). The cache makes repeated queries
 /// over the same meta-walk set amortize the matrix chain.
 ///
+/// Entries are held as `Arc<Csr>`, so a caller that keeps a matrix
+/// beyond one lookup ([`CommutingCache::try_informative_shared`]) shares
+/// the cache's allocation instead of copying it.
+///
 /// Budgeted misses are abort-safe: a build that fails with an
 /// [`ExecError`] inserts **nothing** — a matrix enters the cache only
 /// after its chain completed, so an aborted build can never poison later
 /// hits with a partial product (pinned by the `aborted_build_*` tests).
 #[derive(Default)]
 pub struct CommutingCache {
-    plain: HashMap<MetaWalk, Csr>,
-    informative: HashMap<MetaWalk, Csr>,
+    plain: HashMap<MetaWalk, Arc<Csr>>,
+    informative: HashMap<MetaWalk, Arc<Csr>>,
     stats: CacheStats,
 }
 
@@ -252,7 +257,8 @@ pub struct CacheStats {
     pub misses: u64,
     /// Matrices inserted (misses whose build succeeded).
     pub inserts: u64,
-    /// Matrices dropped by [`CommutingCache::clear`].
+    /// Matrices dropped by [`CommutingCache::clear`] or
+    /// [`CommutingCache::evict`].
     pub evictions: u64,
 }
 
@@ -267,9 +273,23 @@ impl CommutingCache {
         self.stats
     }
 
+    fn map(&self, kind: CacheKind) -> &HashMap<MetaWalk, Arc<Csr>> {
+        match kind {
+            CacheKind::Plain => &self.plain,
+            CacheKind::Informative => &self.informative,
+        }
+    }
+
+    fn map_mut(&mut self, kind: CacheKind) -> &mut HashMap<MetaWalk, Arc<Csr>> {
+        match kind {
+            CacheKind::Plain => &mut self.plain,
+            CacheKind::Informative => &mut self.informative,
+        }
+    }
+
     /// Drops every cached matrix (counted as evictions); stats survive.
     pub fn clear(&mut self) {
-        let evicted = (self.plain.len() + self.informative.len()) as u64;
+        let evicted = self.len() as u64;
         self.plain.clear();
         self.informative.clear();
         self.stats.evictions += evicted;
@@ -298,27 +318,8 @@ impl CommutingCache {
         par: Parallelism,
         budget: &Budget,
     ) -> Result<&'a Csr, ExecError> {
-        let mut lookup = repsim_obs::span("repsim.metawalk.cache.lookup");
-        let hit = self.plain.contains_key(mw);
-        if lookup.is_active() {
-            lookup.attr("kind", "plain");
-            lookup.attr("walk", mw.to_string());
-            lookup.attr("hit", hit);
-        }
-        if hit {
-            self.stats.hits += 1;
-            CACHE_HIT.add(1);
-        } else {
-            self.stats.misses += 1;
-            CACHE_MISS.add(1);
-            let m = try_plain_commuting_with(g, mw, par, budget)?;
-            self.plain.insert(mw.clone(), m);
-            self.stats.inserts += 1;
-            CACHE_INSERT.add(1);
-        }
-        #[allow(clippy::expect_used)] // hit or inserted just above
-        let m = self.plain.get(mw).expect("just inserted");
-        Ok(m)
+        self.lookup(CacheKind::Plain, g, mw, par, budget)
+            .map(|m| &**m)
     }
 
     /// The informative commuting matrix of `mw`, computed on first use.
@@ -342,10 +343,43 @@ impl CommutingCache {
         par: Parallelism,
         budget: &Budget,
     ) -> Result<&'a Csr, ExecError> {
+        self.lookup(CacheKind::Informative, g, mw, par, budget)
+            .map(|m| &**m)
+    }
+
+    /// [`CommutingCache::try_informative_with`] returning a handle on the
+    /// cached allocation itself: every lookup of one entry returns the
+    /// same `Arc`, so a caller that keeps the matrix (a query engine, a
+    /// serving seed) holds no second copy.
+    pub fn try_informative_shared(
+        &mut self,
+        g: &Graph,
+        mw: &MetaWalk,
+        par: Parallelism,
+        budget: &Budget,
+    ) -> Result<Arc<Csr>, ExecError> {
+        self.lookup(CacheKind::Informative, g, mw, par, budget)
+            .map(Arc::clone)
+    }
+
+    fn lookup<'a>(
+        &'a mut self,
+        kind: CacheKind,
+        g: &Graph,
+        mw: &MetaWalk,
+        par: Parallelism,
+        budget: &Budget,
+    ) -> Result<&'a Arc<Csr>, ExecError> {
         let mut lookup = repsim_obs::span("repsim.metawalk.cache.lookup");
-        let hit = self.informative.contains_key(mw);
+        let hit = self.map(kind).contains_key(mw);
         if lookup.is_active() {
-            lookup.attr("kind", "informative");
+            lookup.attr(
+                "kind",
+                match kind {
+                    CacheKind::Plain => "plain",
+                    CacheKind::Informative => "informative",
+                },
+            );
             lookup.attr("walk", mw.to_string());
             lookup.attr("hit", hit);
         }
@@ -355,13 +389,16 @@ impl CommutingCache {
         } else {
             self.stats.misses += 1;
             CACHE_MISS.add(1);
-            let m = try_informative_commuting_with(g, mw, par, budget)?;
-            self.informative.insert(mw.clone(), m);
+            let m = match kind {
+                CacheKind::Plain => try_plain_commuting_with(g, mw, par, budget)?,
+                CacheKind::Informative => try_informative_commuting_with(g, mw, par, budget)?,
+            };
+            self.map_mut(kind).insert(mw.clone(), Arc::new(m));
             self.stats.inserts += 1;
             CACHE_INSERT.add(1);
         }
         #[allow(clippy::expect_used)] // hit or inserted just above
-        let m = self.informative.get(mw).expect("just inserted");
+        let m = self.map(kind).get(mw).expect("just inserted");
         Ok(m)
     }
 
@@ -378,24 +415,16 @@ impl CommutingCache {
     /// Iterates every cached entry, in unspecified order — the snapshot
     /// export hook used by `repsim-serve` persistence.
     pub fn entries(&self) -> impl Iterator<Item = (CacheKind, &MetaWalk, &Csr)> {
-        self.plain
-            .iter()
-            .map(|(mw, m)| (CacheKind::Plain, mw, m))
-            .chain(
-                self.informative
-                    .iter()
-                    .map(|(mw, m)| (CacheKind::Informative, mw, m)),
-            )
+        [CacheKind::Plain, CacheKind::Informative]
+            .into_iter()
+            .flat_map(move |kind| self.map(kind).iter().map(move |(mw, m)| (kind, mw, &**m)))
     }
 
     /// Looks up a cached matrix without building on miss (and without
     /// touching hit/miss stats) — the read-only twin of the `try_*`
     /// getters for callers that degrade instead of building.
     pub fn peek(&self, kind: CacheKind, mw: &MetaWalk) -> Option<&Csr> {
-        match kind {
-            CacheKind::Plain => self.plain.get(mw),
-            CacheKind::Informative => self.informative.get(mw),
-        }
+        self.map(kind).get(mw).map(|m| &**m)
     }
 
     /// Inserts a prebuilt matrix — the snapshot import hook. The matrix
@@ -403,25 +432,17 @@ impl CommutingCache {
     /// graph (snapshot loading verifies this via checksums and graph
     /// fingerprints before calling). Counts as an insert; replaces any
     /// existing entry.
-    pub fn import(&mut self, kind: CacheKind, mw: MetaWalk, m: Csr) {
-        let map = match kind {
-            CacheKind::Plain => &mut self.plain,
-            CacheKind::Informative => &mut self.informative,
-        };
-        map.insert(mw, m);
+    pub fn import(&mut self, kind: CacheKind, mw: MetaWalk, m: impl Into<Arc<Csr>>) {
+        self.map_mut(kind).insert(mw, m.into());
         self.stats.inserts += 1;
         CACHE_INSERT.add(1);
     }
 
     /// Drops a single entry (counted as an eviction when present) — the
-    /// invalidation hook used by incremental maintenance when a mutation
-    /// makes a cached matrix stale.
+    /// invalidation hook [`crate::delta::DeltaMaintainer`] calls when a
+    /// mutation makes a cached matrix stale.
     pub fn evict(&mut self, kind: CacheKind, mw: &MetaWalk) -> bool {
-        let map = match kind {
-            CacheKind::Plain => &mut self.plain,
-            CacheKind::Informative => &mut self.informative,
-        };
-        let removed = map.remove(mw).is_some();
+        let removed = self.map_mut(kind).remove(mw).is_some();
         if removed {
             self.stats.evictions += 1;
             CACHE_EVICTION.add(1);
@@ -716,6 +737,23 @@ mod tests {
                 try_informative_commuting_with(&g, &mw, Parallelism::serial(), &roomy).unwrap();
             assert_eq!(got, exact, "{text}");
         }
+    }
+
+    #[test]
+    fn shared_lookups_return_one_allocation() {
+        let (g, _) = dblp();
+        let mw = MetaWalk::parse_in(&g, "paper cite paper cite paper").unwrap();
+        let mut cache = CommutingCache::new();
+        let (par, budget) = (Parallelism::serial(), Budget::unlimited());
+        let a = cache.try_informative_shared(&g, &mw, par, &budget).unwrap();
+        let b = cache.try_informative_shared(&g, &mw, par, &budget).unwrap();
+        assert!(Arc::ptr_eq(&a, &b), "both lookups share the cached matrix");
+        assert!(std::ptr::eq(
+            &*a,
+            cache.peek(CacheKind::Informative, &mw).unwrap()
+        ));
+        assert_eq!((cache.stats().misses, cache.stats().hits), (1, 1));
+        assert_eq!(*a, informative_commuting(&g, &mw));
     }
 
     #[test]

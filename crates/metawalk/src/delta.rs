@@ -1,52 +1,28 @@
-//! Cache-wide incremental maintenance under live graph mutations.
+//! Cache maintenance under live graph mutations: eviction.
 //!
-//! [`DeltaMaintainer`] sits next to a [`CommutingCache`] and keeps its
-//! entries consistent as the graph changes. An edge change between labels
-//! `(a, b)` perturbs only the walks that contain the pair as adjacent
-//! steps; for each such informative star-free entry the maintainer holds an
-//! [`IncrementalCommuting`] state and pushes the sparse delta through it
-//! (see [`crate::incremental`]). Everything else is handled by the blunt
-//! instrument: eviction, so the next lookup rebuilds cold.
+//! An edge change between labels `(a, b)` perturbs only the walks that
+//! contain the pair as adjacent steps; a node addition to label `l`
+//! changes the dimensions of every walk that mentions `l`. For each
+//! mutation, [`DeltaMaintainer`] evicts exactly those entries of a
+//! [`CommutingCache`] and leaves the rest alone. The next lookup of an
+//! evicted walk rebuilds it cold on the new graph (in `repsim-serve`,
+//! through the single-flight rank path), so every entry is either
+//! bit-identical to a cold rebuild on the current graph or absent —
+//! never stale.
 //!
-//! Per touched entry the maintainer picks among three paths:
-//!
-//! * **delta** — the telescoped update, capped by the flop-estimate policy
-//!   at the cost of a cold rebuild;
-//! * **rebuild** — a targeted recompute (also warming the incremental
-//!   state) when no state exists yet or the policy abandoned the delta;
-//! * **evict** — when the walk is unsupported (\*-labels, plain entries),
-//!   a node was added to a label on the walk (dimensions changed), or the
-//!   budget tripped mid-maintenance.
-//!
-//! Every path ends with the cache entry either bit-identical to a cold
-//! rebuild on the new graph or absent — never stale. Walk counts are
-//! integers, exact in `f64` below 2⁵³, so "bit-identical" is the real
-//! contract here, not an ε-tolerance (see DESIGN.md).
-
-use std::collections::HashMap;
-use std::time::Instant;
+//! Eviction rather than an in-place update: on the movies `churn`
+//! workload, updating entries in place cost more per mutation than the
+//! rebuild it saved and kept a second copy of every maintained matrix
+//! (DESIGN.md, "Index maintenance by eviction").
 
 use repsim_graph::{Graph, LabelId};
-use repsim_obs::{CounterHandle, HistogramHandle};
+use repsim_obs::CounterHandle;
 use repsim_sparse::Budget;
 
 use crate::commuting::{CacheKind, CommutingCache};
-use crate::incremental::{DeltaOutcome, IncrementalCommuting};
 use crate::metawalk::MetaWalk;
 
-static DELTA_APPLIED: CounterHandle = CounterHandle::new("repsim.cache.delta.applied");
-static DELTA_REBUILDS: CounterHandle = CounterHandle::new("repsim.cache.delta.rebuilds");
 static DELTA_EVICTIONS: CounterHandle = CounterHandle::new("repsim.cache.delta.evictions");
-static DELTA_APPLY_NS: HistogramHandle = HistogramHandle::new("repsim.cache.delta.apply_ns");
-
-/// Multiplier over the rebuild estimate before a delta is abandoned.
-const DELTA_SLACK: f64 = 2.0;
-/// Absolute flop floor under which a delta is never abandoned.
-const DELTA_FLOOR_FLOPS: f64 = 1024.0;
-
-fn duration_ns(start: Instant) -> u64 {
-    u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX)
-}
 
 /// Whether a walk contains `(a, b)` as an adjacent label pair (in either
 /// order) — the reach of a single edge change.
@@ -65,10 +41,6 @@ pub fn walk_mentions(mw: &MetaWalk, l: LabelId) -> bool {
 /// What happened across the cache for one mutation.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MaintainReport {
-    /// Entries updated through the delta path.
-    pub applied: usize,
-    /// Entries recomputed in place (targeted rebuild).
-    pub rebuilt: usize,
     /// Entries dropped (rebuilt lazily on next use).
     pub evicted: usize,
     /// Entries whose walk the mutation cannot reach.
@@ -76,13 +48,10 @@ pub struct MaintainReport {
 }
 
 impl MaintainReport {
-    /// The dominant path taken, for response/telemetry labels.
+    /// The path taken, for response/telemetry labels: `"evict"` when any
+    /// entry was dropped, `"none"` otherwise.
     pub fn path(&self) -> &'static str {
-        if self.applied > 0 {
-            "delta"
-        } else if self.rebuilt > 0 {
-            "rebuild"
-        } else if self.evicted > 0 {
+        if self.evicted > 0 {
             "evict"
         } else {
             "none"
@@ -90,162 +59,59 @@ impl MaintainReport {
     }
 }
 
-/// Incremental-maintenance states for the entries of one [`CommutingCache`].
-#[derive(Default)]
-pub struct DeltaMaintainer {
-    states: HashMap<MetaWalk, IncrementalCommuting>,
-}
+/// Keeps a [`CommutingCache`] consistent across mutations by evicting
+/// every entry a mutation can reach. Holds no state of its own.
+#[derive(Debug, Default, Clone, Copy)]
+pub struct DeltaMaintainer;
 
 impl DeltaMaintainer {
-    /// An empty maintainer.
+    /// A maintainer; it holds no state.
     pub fn new() -> Self {
-        Self::default()
+        Self
     }
 
-    /// Number of warmed incremental states.
-    pub fn len(&self) -> usize {
-        self.states.len()
-    }
-
-    /// Whether no state has been warmed yet.
-    pub fn is_empty(&self) -> bool {
-        self.states.is_empty()
-    }
-
-    /// Drops every state (e.g. when the cache itself is cleared).
-    pub fn clear(&mut self) {
-        self.states.clear();
-    }
-
-    /// Drops the state for one walk — call whenever the corresponding
-    /// cache entry is evicted by other means.
-    pub fn note_eviction(&mut self, mw: &MetaWalk) {
-        self.states.remove(mw);
-    }
-
-    /// Maintains the cache across an edge change between labels `(a, b)`.
-    ///
-    /// `g_new` is the post-mutation graph (same node set as before — node
-    /// additions go through [`Self::apply_node_change`]). Never fails:
-    /// budget exhaustion and the `delta.apply` failpoint degrade to
-    /// eviction, so the cache is always consistent afterwards.
+    /// Evicts every entry whose walk contains `(a, b)` as adjacent
+    /// labels. Never fails. Eviction needs neither `_g_new` (the
+    /// post-mutation graph) nor `_budget`; they are kept for source
+    /// compatibility with existing callers.
     pub fn apply_edge_change(
         &mut self,
         cache: &mut CommutingCache,
-        g_new: &Graph,
+        _g_new: &Graph,
         a: LabelId,
         b: LabelId,
-        budget: &Budget,
+        _budget: &Budget,
     ) -> MaintainReport {
-        let mut span = repsim_obs::span("repsim.metawalk.delta.apply");
-        let start = Instant::now();
-        let mut report = MaintainReport::default();
-        let entries: Vec<(CacheKind, MetaWalk)> = cache
-            .entries()
-            .map(|(kind, mw, _)| (kind, mw.clone()))
-            .collect();
-        for (kind, mw) in entries {
-            if !walk_touches_edge(&mw, a, b) {
-                report.untouched += 1;
-                continue;
-            }
-            // Plain entries and *-walks have no maintainable linear form.
-            if kind == CacheKind::Plain || !IncrementalCommuting::supports(&mw) {
-                self.evict_entry(cache, kind, &mw, &mut report);
-                continue;
-            }
-            match self.states.get_mut(&mw) {
-                Some(state) => {
-                    // Policy cap: allow the delta up to a slack factor over
-                    // the estimated rebuild cost, with an absolute floor so
-                    // tiny matrices (where both estimates are a handful of
-                    // flops and the estimator's variance dominates) never
-                    // flap into rebuilds.
-                    let cap = DELTA_SLACK * state.rebuild_flops() + DELTA_FLOOR_FLOPS;
-                    match state.try_apply_edge_change(g_new, a, b, Some(cap), budget) {
-                        Ok(DeltaOutcome::Applied(_)) => {
-                            cache.import(
-                                CacheKind::Informative,
-                                mw.clone(),
-                                state.matrix().clone(),
-                            );
-                            report.applied += 1;
-                            DELTA_APPLIED.add(1);
-                        }
-                        Ok(DeltaOutcome::Abandoned { .. }) => {
-                            self.rebuild_entry(cache, g_new, &mw, budget, &mut report);
-                        }
-                        Err(_) => self.evict_entry(cache, kind, &mw, &mut report),
-                    }
-                }
-                None => self.rebuild_entry(cache, g_new, &mw, budget, &mut report),
-            }
-        }
-        DELTA_APPLY_NS.record(duration_ns(start));
-        if span.is_active() {
-            span.attr("applied", report.applied);
-            span.attr("rebuilt", report.rebuilt);
-            span.attr("evicted", report.evicted);
-        }
-        report
+        evict_where(cache, |mw| walk_touches_edge(mw, a, b))
     }
 
-    /// Maintains the cache across a node addition to label `l`: every walk
-    /// mentioning `l` changes dimension, so those entries and states are
-    /// evicted wholesale.
+    /// Evicts every entry whose walk mentions `l`: a node addition to
+    /// `l` changes those matrices' dimensions.
     pub fn apply_node_change(&mut self, cache: &mut CommutingCache, l: LabelId) -> MaintainReport {
-        let mut report = MaintainReport::default();
-        let entries: Vec<(CacheKind, MetaWalk)> = cache
-            .entries()
-            .map(|(kind, mw, _)| (kind, mw.clone()))
-            .collect();
-        for (kind, mw) in entries {
-            if walk_mentions(&mw, l) {
-                self.evict_entry(cache, kind, &mw, &mut report);
-            } else {
-                report.untouched += 1;
-            }
-        }
-        report
+        evict_where(cache, |mw| walk_mentions(mw, l))
     }
+}
 
-    /// Recomputes one informative entry on the new graph, warming (or
-    /// refreshing) its incremental state; degrades to eviction when the
-    /// budget trips.
-    fn rebuild_entry(
-        &mut self,
-        cache: &mut CommutingCache,
-        g_new: &Graph,
-        mw: &MetaWalk,
-        budget: &Budget,
-        report: &mut MaintainReport,
-    ) {
-        // Warm the incremental state from the chain rebuild; its final
-        // prefix *is* the informative matrix, so one computation serves
-        // both the cache and future deltas.
-        match IncrementalCommuting::try_new(g_new, mw.clone(), budget) {
-            Ok(state) => {
-                cache.import(CacheKind::Informative, mw.clone(), state.matrix().clone());
-                self.states.insert(mw.clone(), state);
-                report.rebuilt += 1;
-                DELTA_REBUILDS.add(1);
-            }
-            Err(_) => self.evict_entry(cache, CacheKind::Informative, mw, report),
+fn evict_where(cache: &mut CommutingCache, stale: impl Fn(&MetaWalk) -> bool) -> MaintainReport {
+    let mut span = repsim_obs::span("repsim.metawalk.delta.apply");
+    let entries: Vec<(CacheKind, MetaWalk)> = cache
+        .entries()
+        .map(|(kind, mw, _)| (kind, mw.clone()))
+        .collect();
+    let mut report = MaintainReport::default();
+    for (kind, mw) in entries {
+        if stale(&mw) {
+            cache.evict(kind, &mw);
+            report.evicted += 1;
+            DELTA_EVICTIONS.add(1);
+        } else {
+            report.untouched += 1;
         }
     }
-
-    fn evict_entry(
-        &mut self,
-        cache: &mut CommutingCache,
-        kind: CacheKind,
-        mw: &MetaWalk,
-        report: &mut MaintainReport,
-    ) {
-        cache.evict(kind, mw);
-        self.states.remove(mw);
-        report.evicted += 1;
-        DELTA_EVICTIONS.add(1);
+    if span.is_active() {
+        span.attr("evicted", report.evicted);
     }
+    report
 }
 
 #[cfg(test)]
@@ -254,10 +120,13 @@ mod tests {
     use crate::commuting::informative_commuting;
     use repsim_graph::mutation::{self, MutationOp, NodeRef, Touch};
     use repsim_graph::GraphBuilder;
+    use repsim_sparse::Parallelism;
+    use std::sync::Arc;
 
     fn base() -> Graph {
         let mut b = GraphBuilder::new();
         let paper = b.entity_label("paper");
+        let author = b.entity_label("author");
         let cite = b.relationship_label("cite");
         let p: Vec<_> = (0..6).map(|i| b.entity(paper, &format!("p{i}"))).collect();
         for (x, y) in [(0, 2), (1, 2), (2, 3), (3, 4), (4, 5)] {
@@ -265,6 +134,8 @@ mod tests {
             b.edge(p[x], c).unwrap();
             b.edge(c, p[y]).unwrap();
         }
+        let al = b.entity(author, "alice");
+        b.edge(al, p[0]).unwrap();
         b.build()
     }
 
@@ -279,17 +150,10 @@ mod tests {
         (cache, mws)
     }
 
-    fn edge_op(g: &Graph, add: bool, a: &str, b: &str) -> (Graph, LabelId, LabelId) {
-        let op = if add {
-            MutationOp::AddEdge {
-                a: NodeRef::parse(a).unwrap(),
-                b: NodeRef::parse(b).unwrap(),
-            }
-        } else {
-            MutationOp::RemoveEdge {
-                a: NodeRef::parse(a).unwrap(),
-                b: NodeRef::parse(b).unwrap(),
-            }
+    fn add_edge(g: &Graph, a: &str, b: &str) -> (Graph, LabelId, LabelId) {
+        let op = MutationOp::AddEdge {
+            a: NodeRef::parse(a).unwrap(),
+            b: NodeRef::parse(b).unwrap(),
         };
         let Touch::Edge(la, lb) = mutation::touch(g, &op).unwrap() else {
             panic!("edge op must touch an edge");
@@ -298,130 +162,78 @@ mod tests {
     }
 
     #[test]
-    fn first_touch_rebuilds_then_deltas() {
+    fn edge_change_evicts_exactly_the_touched_walks() {
         let g = base();
-        let (mut cache, mws) = warm_cache(&g, &["paper cite paper", "paper cite paper cite paper"]);
-        let mut maint = DeltaMaintainer::new();
-        assert!(maint.is_empty());
-
-        let (g2, a, b) = edge_op(&g, true, "paper:p0", "cite:#3");
-        let r = maint.apply_edge_change(&mut cache, &g2, a, b, &Budget::unlimited());
-        // No states were warmed, so both touched entries rebuild.
-        assert_eq!(r.rebuilt, 2);
-        assert_eq!(maint.len(), 2);
-        for mw in &mws {
-            assert_eq!(
-                cache.peek(CacheKind::Informative, mw).unwrap(),
-                &informative_commuting(&g2, mw),
-            );
-        }
-
-        // Second mutation rides the warmed states through the delta path.
-        let (g3, a, b) = edge_op(&g2, false, "paper:p0", "cite:#3");
-        let r = maint.apply_edge_change(&mut cache, &g3, a, b, &Budget::unlimited());
-        assert_eq!(r.applied, 2);
-        for mw in &mws {
-            assert_eq!(
-                cache.peek(CacheKind::Informative, mw).unwrap(),
-                &informative_commuting(&g3, mw),
-            );
-        }
-    }
-
-    #[test]
-    fn untouched_walks_are_left_alone() {
-        let mut b = GraphBuilder::new();
-        let paper = b.entity_label("paper");
-        let author = b.entity_label("author");
-        let cite = b.relationship_label("cite");
-        let p0 = b.entity(paper, "p0");
-        let p1 = b.entity(paper, "p1");
-        let al = b.entity(author, "alice");
-        let c = b.relationship(cite);
-        b.edge(p0, c).unwrap();
-        b.edge(c, p1).unwrap();
-        b.edge(al, p0).unwrap();
-        let g = b.build();
         let (mut cache, mws) = warm_cache(&g, &["paper cite paper", "author paper author"]);
+        cache.plain(&g, &mws[1]);
         let mut maint = DeltaMaintainer::new();
 
-        // An author–paper edge cannot reach the (paper, cite, paper) walk.
-        let (g2, a, bb) = edge_op(&g, true, "author:alice", "paper:p1");
-        let before = cache.peek(CacheKind::Informative, &mws[0]).unwrap().clone();
-        let r = maint.apply_edge_change(&mut cache, &g2, a, bb, &Budget::unlimited());
-        assert_eq!(r.untouched, 1);
+        // An author–paper edge cannot reach the (paper, cite, paper) walk;
+        // both entries of the author walk, plain and informative, go.
+        let (g2, a, b) = add_edge(&g, "author:alice", "paper:p1");
+        let before = cache
+            .try_informative_shared(&g, &mws[0], Parallelism::serial(), &Budget::unlimited())
+            .unwrap();
+        let r = maint.apply_edge_change(&mut cache, &g2, a, b, &Budget::unlimited());
         assert_eq!(
-            cache.peek(CacheKind::Informative, &mws[0]).unwrap(),
-            &before
+            r,
+            MaintainReport {
+                evicted: 2,
+                untouched: 1
+            }
         );
+        assert_eq!(r.path(), "evict");
+        assert!(cache.peek(CacheKind::Informative, &mws[1]).is_none());
+        assert!(cache.peek(CacheKind::Plain, &mws[1]).is_none());
+        let kept = cache
+            .try_informative_shared(&g2, &mws[0], Parallelism::serial(), &Budget::unlimited())
+            .unwrap();
+        assert!(
+            Arc::ptr_eq(&before, &kept),
+            "untouched entry is left in place"
+        );
+        // The next lookup rebuilds the evicted walk on the new graph.
         assert_eq!(
-            cache.peek(CacheKind::Informative, &mws[1]).unwrap(),
-            &informative_commuting(&g2, &mws[1]),
+            cache.informative(&g2, &mws[1]),
+            &informative_commuting(&g2, &mws[1])
         );
     }
 
     #[test]
     fn node_addition_evicts_dimension_changed_walks() {
         let g = base();
-        let (mut cache, mws) = warm_cache(&g, &["paper cite paper"]);
-        let mut maint = DeltaMaintainer::new();
-        // Warm the state first so the eviction also has to drop it.
-        let (g2, a, b) = edge_op(&g, true, "paper:p0", "cite:#3");
-        maint.apply_edge_change(&mut cache, &g2, a, b, &Budget::unlimited());
-        assert_eq!(maint.len(), 1);
-
+        let (mut cache, mws) = warm_cache(&g, &["paper cite paper", "author paper author"]);
         let op = MutationOp::AddEntity {
-            label: "paper".into(),
-            value: "p9".into(),
+            label: "author".into(),
+            value: "bob".into(),
         };
-        let Touch::Node(l) = mutation::touch(&g2, &op).unwrap() else {
+        let Touch::Node(l) = mutation::touch(&g, &op).unwrap() else {
             panic!("add_entity must touch a node label");
         };
-        let g3 = mutation::apply(&g2, &op).unwrap();
-        let r = maint.apply_node_change(&mut cache, l);
-        assert_eq!(r.evicted, 1);
-        assert_eq!(maint.len(), 0);
-        assert!(cache.peek(CacheKind::Informative, &mws[0]).is_none());
-        // The next lookup rebuilds against the grown graph.
-        let m = cache.informative(&g3, &mws[0]).clone();
-        assert_eq!(m, informative_commuting(&g3, &mws[0]));
-    }
-
-    #[test]
-    fn plain_entries_evict_rather_than_maintain() {
-        let g = base();
-        let mw = MetaWalk::parse_in(&g, "paper cite paper").unwrap();
-        let mut cache = CommutingCache::new();
-        cache.plain(&g, &mw);
-        let mut maint = DeltaMaintainer::new();
-        let (g2, a, b) = edge_op(&g, true, "paper:p0", "cite:#3");
-        let r = maint.apply_edge_change(&mut cache, &g2, a, b, &Budget::unlimited());
-        assert_eq!(r.evicted, 1);
-        assert!(cache.peek(CacheKind::Plain, &mw).is_none());
-    }
-
-    #[test]
-    fn delta_failpoint_degrades_to_eviction() {
-        let g = base();
-        let (mut cache, mws) = warm_cache(&g, &["paper cite paper"]);
-        let mut maint = DeltaMaintainer::new();
-        let (g2, a, b) = edge_op(&g, true, "paper:p0", "cite:#3");
-        maint.apply_edge_change(&mut cache, &g2, a, b, &Budget::unlimited());
-        assert_eq!(maint.len(), 1);
-
-        let _guard = repsim_sparse::budget::failpoints::scoped(&[
-            repsim_sparse::budget::failpoints::DELTA_APPLY,
-        ]);
-        let (g3, a, b) = edge_op(&g2, false, "paper:p0", "cite:#3");
-        let r = maint.apply_edge_change(
-            &mut cache,
-            &g3,
-            a,
-            b,
-            &Budget::unlimited().with_fault_injection(),
+        let g2 = mutation::apply(&g, &op).unwrap();
+        let r = DeltaMaintainer::new().apply_node_change(&mut cache, l);
+        assert_eq!(
+            r,
+            MaintainReport {
+                evicted: 1,
+                untouched: 1
+            }
         );
-        assert_eq!(r.evicted, 1);
-        assert!(cache.peek(CacheKind::Informative, &mws[0]).is_none());
-        assert_eq!(maint.len(), 0);
+        assert!(cache.peek(CacheKind::Informative, &mws[1]).is_none());
+        assert_eq!(
+            cache.informative(&g2, &mws[1]),
+            &informative_commuting(&g2, &mws[1])
+        );
+    }
+
+    #[test]
+    fn an_empty_cache_reports_none() {
+        let g = base();
+        let mut cache = CommutingCache::new();
+        let (g2, a, b) = add_edge(&g, "paper:p0", "cite:#3");
+        let r =
+            DeltaMaintainer::new().apply_edge_change(&mut cache, &g2, a, b, &Budget::unlimited());
+        assert_eq!(r, MaintainReport::default());
+        assert_eq!(r.path(), "none");
     }
 }

@@ -28,10 +28,8 @@
 //!   binarization (§5.2);
 //! * [`fd`] — functional dependencies over meta-walks (Definition 8), FD
 //!   discovery, and maximal chains under the `≺` order;
-//! * [`incremental`] — delta-propagated maintenance of informative
-//!   commuting matrices under edge updates (a dynamic-graph extension);
-//! * [`delta`] — cache-wide maintenance policy over [`incremental`]:
-//!   delta-apply, targeted rebuild, or evict per touched entry;
+//! * [`delta`] — cache maintenance under graph mutations: evict every
+//!   entry a mutation can reach, rebuild on next use;
 //! * [`enumerate`] — meta-walk enumeration over the schema graph, the
 //!   inclusion relation (Definition 6) and maximal meta-walks
 //!   (Definition 7) for small databases;
@@ -43,7 +41,6 @@ pub mod delta;
 pub mod enumerate;
 pub mod equivalence;
 pub mod fd;
-pub mod incremental;
 pub mod metawalk;
 pub mod walk;
 

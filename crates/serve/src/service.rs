@@ -3,11 +3,10 @@
 //!
 //! [`QueryService`] is the transport-agnostic core the TCP server (and
 //! the tests) drive. One instance owns the resident state — the current
-//! graph *epoch*, the commuting-matrix cache and its delta maintainer,
-//! the per-walk engine seeds, the write-ahead log, the circuit breaker,
-//! the serving counters — and answers one request at a time per calling
-//! thread; all methods take `&self` and are safe to share across the
-//! worker pool.
+//! graph *epoch*, the commuting-matrix cache, the per-walk engine seeds,
+//! the write-ahead log, the circuit breaker, the serving counters — and
+//! answers one request at a time per calling thread; all methods take
+//! `&self` and are safe to share across the worker pool.
 //!
 //! A rank request flows: breaker admission → walk/entity validation →
 //! budget construction (per-request deadline or the server default) →
@@ -20,10 +19,10 @@
 //! A mutate request flows: mutate-class breaker admission → resolve and
 //! validate against the current epoch → apply to a *copy* of the graph
 //! → durable WAL append (the acknowledgment barrier — nothing is
-//! acknowledged or made visible before the fsync returns) → incremental
-//! index maintenance through [`DeltaMaintainer`] (delta-apply when the
-//! flop estimate says it is cheaper, targeted rebuild otherwise,
-//! eviction as the never-fail floor) → seed refresh/evict → epoch swap.
+//! acknowledged or made visible before the fsync returns) → index
+//! maintenance through [`DeltaMaintainer`], which evicts every cache
+//! entry the mutation can reach (the next rank rebuilds it through the
+//! single-flight build path) → seed refresh/evict → epoch swap.
 //! Ranking is serialized against mutation by the epoch fingerprint:
 //! seeds and cache entries are only trusted when their fingerprint
 //! matches the epoch that answers, so a rank racing a mutate either
@@ -86,8 +85,8 @@ pub struct ServiceConfig {
     /// Circuit-breaker tuning.
     pub breaker: BreakerConfig,
     /// Opt requests into the armed failpoints (`serve.slow_worker`,
-    /// `snapshot.*`, `wal.*`, `delta.apply`) — the fault-injection
-    /// harness for the CI drills.
+    /// `snapshot.*`, `wal.*`) — the fault-injection harness for the CI
+    /// drills.
     pub fault_injection: bool,
     /// Serve only one row band of the candidate label (fleet member
     /// mode); `None` ranks every candidate (single node).
@@ -147,18 +146,10 @@ struct Epoch {
     seq: u64,
 }
 
-/// The mutable index state, held under one lock: the commuting-matrix
-/// cache and the delta maintainer whose warmed hop/prefix factors track
-/// it. Mutations swap the epoch while holding this lock, so anyone
-/// holding it sees a stable epoch.
-struct IndexState {
-    cache: CommutingCache,
-    maintainer: DeltaMaintainer,
-}
-
 /// A cached engine seed: the shared half-matrix and diagonal for one
 /// walk, valid only for the graph whose fingerprint is `fp`. Rebuilding
-/// a [`QueryEngine`] from a seed is O(validation), not O(SpGEMM).
+/// a [`QueryEngine`] from a seed is O(validation), not O(SpGEMM). `m`
+/// is the commuting cache's own allocation, not a copy of it.
 struct Seed {
     fp: u64,
     m: Arc<Csr>,
@@ -170,7 +161,10 @@ struct Seed {
 pub struct QueryService {
     cfg: ServiceConfig,
     epoch: RwLock<Epoch>,
-    state: Mutex<IndexState>,
+    /// The mutable index state: the commuting-matrix cache. Mutations
+    /// swap the epoch while holding this lock, so anyone holding it sees
+    /// a stable epoch.
+    state: Mutex<CommutingCache>,
     seeds: RwLock<HashMap<MetaWalk, Seed>>,
     wal: Mutex<Option<Wal>>,
     breaker: CircuitBreaker,
@@ -198,10 +192,7 @@ impl QueryService {
             breaker: CircuitBreaker::new(cfg.breaker),
             cfg,
             epoch: RwLock::new(Epoch { g, fp, seq: 0 }),
-            state: Mutex::new(IndexState {
-                cache: CommutingCache::new(),
-                maintainer: DeltaMaintainer::new(),
-            }),
+            state: Mutex::new(CommutingCache::new()),
             seeds: RwLock::new(HashMap::new()),
             wal: Mutex::new(None),
             flights: SingleFlight::new(),
@@ -236,8 +227,8 @@ impl QueryService {
         self.epoch.read().unwrap_or_else(|e| e.into_inner()).clone()
     }
 
-    fn state_lock(&self) -> MutexGuard<'_, IndexState> {
-        // The state holds plain data; poisoning cannot corrupt it.
+    fn state_lock(&self) -> MutexGuard<'_, CommutingCache> {
+        // The cache holds plain data; poisoning cannot corrupt it.
         self.state.lock().unwrap_or_else(|e| e.into_inner())
     }
 
@@ -394,15 +385,14 @@ impl QueryService {
         // lock (mutations swap it under the same lock), so re-reading
         // inside gives the graph the cache is consistent with. Node and
         // label ids are stable across epochs (mutations never delete or
-        // renumber), so `mw` and `query` stay valid.
+        // renumber), so `mw` and `query` stay valid. The matrix leaves
+        // the lock as a handle on the cache entry, so the engine and the
+        // seed share the cache's allocation.
         let built = {
-            let mut st = self.state_lock();
+            let mut cache = self.state_lock();
             let epoch = self.epoch_snapshot();
-            match st
-                .cache
-                .try_informative_with(&epoch.g, mw, self.cfg.par, budget)
-            {
-                Ok(m) => Some((epoch, m.clone())),
+            match cache.try_informative_shared(&epoch.g, mw, self.cfg.par, budget) {
+                Ok(m) => Some((epoch, m)),
                 Err(e) if e.is_exhaustion() => None,
                 Err(e) => return Err(e),
             }
@@ -487,8 +477,7 @@ impl QueryService {
 
     /// Applies one mutation. Returns the post-mutation fingerprint
     /// (`0x`-hex), the WAL sequence number that made it durable, and
-    /// the index-maintenance path taken (`"delta"`, `"rebuild"`,
-    /// `"evict"` or `"none"`).
+    /// the index-maintenance path taken (`"evict"` or `"none"`).
     pub fn handle_mutate(
         &self,
         op: &MutationOp,
@@ -516,7 +505,7 @@ impl QueryService {
             return Err(ServiceError::BadRequest(e.to_string()));
         }
 
-        let mut st = self.state_lock();
+        let mut cache = self.state_lock();
         // Epoch is stable under the state lock.
         let epoch = self.epoch_snapshot();
         let touch =
@@ -538,15 +527,12 @@ impl QueryService {
             }
         };
 
-        // Index maintenance never fails past this point: exhaustion and
-        // the delta.apply failpoint degrade to eviction, and the entry
-        // rebuilds on next use.
-        let report = {
-            let IndexState { cache, maintainer } = &mut *st;
-            match touch {
-                Touch::Edge(a, b) => maintainer.apply_edge_change(cache, &g_new, a, b, &budget),
-                Touch::Node(l) => maintainer.apply_node_change(cache, l),
-            }
+        // Index maintenance never fails past this point: every entry the
+        // mutation can reach is evicted and rebuilds on next use.
+        let mut maintainer = DeltaMaintainer::new();
+        let report = match touch {
+            Touch::Edge(a, b) => maintainer.apply_edge_change(&mut cache, &g_new, a, b, &budget),
+            Touch::Node(l) => maintainer.apply_node_change(&mut cache, l),
         };
 
         // Seeds: walks the mutation touched are invalidated (their
@@ -576,7 +562,7 @@ impl QueryService {
                 seq,
             };
         }
-        drop(st);
+        drop(cache);
 
         self.mutations.fetch_add(1, Ordering::Relaxed);
         MUTATIONS.add(1);
@@ -637,7 +623,7 @@ impl QueryService {
             exhausted: self.exhausted.load(Ordering::Relaxed),
             queue_depth,
             queue_capacity,
-            cache_entries: self.state_lock().cache.len(),
+            cache_entries: self.state_lock().len(),
             engines: self.seeds.read().unwrap_or_else(|e| e.into_inner()).len(),
             breaker: self.breaker.state_name_class(OpClass::Rank).to_owned(),
             breaker_mutate: self.breaker.state_name_class(OpClass::Mutate).to_owned(),
@@ -663,9 +649,9 @@ impl QueryService {
         } else {
             Budget::unlimited()
         };
-        let st = self.state_lock();
+        let cache = self.state_lock();
         let epoch = self.epoch_snapshot();
-        let stats = snapshot::save(path, &epoch.g, &st.cache, &budget)?;
+        let stats = snapshot::save(path, &epoch.g, &cache, &budget)?;
         self.last_snapshot_ns
             .store(repsim_obs::now_ns(), Ordering::Relaxed);
         Ok(stats)
@@ -676,13 +662,13 @@ impl QueryService {
     /// never errors; only I/O failures propagate. Validates against the
     /// *current* epoch graph, i.e. post-WAL-replay when a log is in use.
     pub fn restore(&self, path: &Path) -> Result<Restore, SnapshotError> {
-        let mut st = self.state_lock();
+        let mut cache = self.state_lock();
         let epoch = self.epoch_snapshot();
         match snapshot::load(path, &epoch.g)? {
             LoadOutcome::Restored(entries) => {
                 let n = entries.len();
                 for (kind, mw, m) in entries {
-                    st.cache.import(kind, mw, m);
+                    cache.import(kind, mw, m);
                 }
                 self.snapshot_restored.store(true, Ordering::Relaxed);
                 self.last_snapshot_ns
@@ -769,6 +755,25 @@ mod tests {
             .unwrap();
         assert_eq!(tier2, "exact");
         assert_eq!(results, results2);
+    }
+
+    #[test]
+    fn cold_rank_seed_shares_the_cache_allocation() {
+        let g = mas_like();
+        let s = svc(&g);
+        s.handle_rank("conf paper dom", "conf", "c0", 5, None)
+            .unwrap();
+        let mw = MetaWalk::parse_in(&g, "conf paper dom").unwrap();
+        let fp = graph_fingerprint(&g);
+        let (seed, _) = s.seed_parts(&mw, fp).expect("seed installed");
+        let cached = s
+            .state_lock()
+            .try_informative_shared(&g, &mw, Parallelism::serial(), &Budget::unlimited())
+            .unwrap();
+        assert!(
+            Arc::ptr_eq(&seed, &cached),
+            "seed and cache hold one matrix"
+        );
     }
 
     #[test]
@@ -874,10 +879,8 @@ mod tests {
         let (fp1, seq, path) = s.handle_mutate(&op, None).unwrap();
         assert_ne!(fp1, fp0, "fingerprint advances");
         assert_eq!(seq, 1);
-        assert!(
-            ["delta", "rebuild", "evict", "none"].contains(&path.as_str()),
-            "{path}"
-        );
+        // The warmed walk sees the new edge, so its entry is evicted.
+        assert_eq!(path, "evict");
         let stats = s.stats_body(0, 1);
         assert_eq!(stats.mutations, 1);
         assert_eq!(stats.fingerprint, fp1);

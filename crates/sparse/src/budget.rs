@@ -345,9 +345,6 @@ pub mod failpoints {
     /// and then fail, simulating a crash mid-append; recovery must detect
     /// the torn tail and truncate it.
     pub const WAL_TORN_TAIL: &str = "wal.torn_tail";
-    /// Makes the incremental commuting-matrix delta path report failure,
-    /// forcing the caller onto its rebuild/evict fallback.
-    pub const DELTA_APPLY: &str = "delta.apply";
 
     /// 0 = uninitialized, 1 = known off, 2 = possibly armed.
     static STATE: AtomicU8 = AtomicU8::new(0);

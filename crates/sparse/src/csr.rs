@@ -490,61 +490,6 @@ impl Csr {
         }
     }
 
-    /// Element-wise `self + other`. Panics on shape mismatch.
-    pub fn add(&self, other: &Csr) -> Csr {
-        self.zip_with(other, |a, b| a + b)
-    }
-
-    /// Element-wise `self - other`. Panics on shape mismatch.
-    pub fn sub(&self, other: &Csr) -> Csr {
-        self.zip_with(other, |a, b| a - b)
-    }
-
-    fn zip_with(&self, other: &Csr, f: impl Fn(f64, f64) -> f64) -> Csr {
-        assert_eq!(
-            (self.nrows, self.ncols),
-            (other.nrows, other.ncols),
-            "shape mismatch in element-wise op"
-        );
-        let mut row_ptr = Vec::with_capacity(self.nrows + 1);
-        let mut col_idx = Vec::new();
-        let mut values = Vec::new();
-        row_ptr.push(0);
-        for r in 0..self.nrows {
-            let (ac, av) = self.row(r);
-            let (bc, bv) = other.row(r);
-            let (mut i, mut j) = (0, 0);
-            while i < ac.len() || j < bc.len() {
-                let (c, v) = if j >= bc.len() || (i < ac.len() && ac[i] < bc[j]) {
-                    let e = (ac[i], f(av[i], 0.0));
-                    i += 1;
-                    e
-                } else if i >= ac.len() || bc[j] < ac[i] {
-                    let e = (bc[j], f(0.0, bv[j]));
-                    j += 1;
-                    e
-                } else {
-                    let e = (ac[i], f(av[i], bv[j]));
-                    i += 1;
-                    j += 1;
-                    e
-                };
-                if v != 0.0 {
-                    col_idx.push(c);
-                    values.push(v);
-                }
-            }
-            row_ptr.push(col_idx.len());
-        }
-        Csr {
-            nrows: self.nrows,
-            ncols: self.ncols,
-            row_ptr,
-            col_idx,
-            values,
-        }
-    }
-
     /// Returns a copy scaled by `factor`.
     pub fn scaled(&self, factor: f64) -> Csr {
         let mut out = self.clone();
@@ -704,16 +649,6 @@ mod tests {
         assert_eq!(b.get(0, 2), 1.0);
         assert_eq!(b.get(2, 1), 1.0);
         assert_eq!(b.get(1, 1), 0.0);
-    }
-
-    #[test]
-    fn add_sub_roundtrip() {
-        let a = sample();
-        let b = Csr::from_triplets(3, 3, vec![(0, 1, 1.0), (2, 0, -3.0)]);
-        let s = a.add(&b);
-        assert_eq!(s.get(0, 1), 1.0);
-        assert_eq!(s.get(2, 0), 0.0);
-        assert_eq!(s.sub(&b), a);
     }
 
     #[test]

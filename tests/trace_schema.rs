@@ -153,7 +153,7 @@ fn trace_out_lines_conform_to_the_schema() {
 }
 
 /// The `profile --mutate` leg's observability contract: the WAL and
-/// incremental-maintenance span and metric names below are pinned —
+/// index-maintenance span and metric names below are pinned —
 /// dashboards and the CI recovery drill key on them, so renaming any of
 /// these is a breaking change that must show up here.
 #[test]
@@ -212,8 +212,7 @@ fn profile_mutate_trace_pins_wal_and_delta_names() {
         "repsim.graph.wal.appends",
         "repsim.graph.wal.bytes",
         "repsim.graph.wal.replayed",
-        "repsim.cache.delta.applied",
-        "repsim.cache.delta.rebuilds",
+        "repsim.cache.delta.evictions",
     ] {
         assert!(
             counters.iter().any(|n| n == counter),
