@@ -4,52 +4,45 @@
 //! arrival offset, deadline, and the raw request line — so the exact
 //! mix can be replayed offline against another build, another config,
 //! or the same server twice to assert bit-identical answers. The file
-//! discipline is the WAL's ([`crate::wal`]): versioned magic header,
-//! length- and checksum-prefixed records, torn tails truncated, corrupt
-//! suffixes quarantined.
+//! is a framed record log (`framed.rs`), like the WAL: the header word
+//! is the workload seed, and each record holds `arrival_offset_us: u64
+//! LE`, `deadline_ms: u64 LE` (`u64::MAX` = no deadline) and the UTF-8
+//! request line (no trailing newline).
 //!
-//! ```text
-//! offset  size  field
-//! 0       8     magic  b"RSIMCAP1"
-//! 8       4     version (u32 LE, currently 1)
-//! 12      8     workload seed (u64 LE)
-//! 20      …     records, back to back
-//! ```
-//!
-//! Each record is `len: u32 LE` (body length), `checksum: u64 LE`
-//! (FNV-1a over the body), then the body: `seq: u64 LE` (1-based,
-//! gap-free), `arrival_offset_us: u64 LE` (microseconds since the
-//! workload started), `deadline_ms: u64 LE` (`u64::MAX` = no deadline),
-//! and the request line as UTF-8 bytes (no trailing newline).
-//!
-//! **Recovery** ([`recover`]) re-validates every record. A torn tail
-//! (crash or kill mid-append) truncates with a Warn event; a corrupt
-//! suffix (checksum, sequence, length or UTF-8 failure) is moved aside
-//! through the bounded [`crate::quarantine`] rotation and truncated —
-//! the intact prefix always survives. A file whose header is not ours
-//! is quarantined whole.
+//! **Recovery** ([`recover`]) repairs damage as the WAL's does. Two
+//! differences are deliberate: a missing capture is an error, not an
+//! empty log, and appends are not fsynced one by one.
 
-use std::fs::{self, File, OpenOptions};
-use std::io::Write as _;
+use std::fs;
 use std::path::{Path, PathBuf};
 
 use repsim_obs::CounterHandle;
-use repsim_sparse::checksum;
+
+use crate::framed::{self, le_u64, Format, IoFailure, Writer};
 
 static CAP_APPENDS: CounterHandle = CounterHandle::new("repsim.serve.capture.appends");
 static CAP_REPLAYED: CounterHandle = CounterHandle::new("repsim.serve.capture.replayed");
 static CAP_TORN: CounterHandle = CounterHandle::new("repsim.serve.capture.torn_truncations");
 static CAP_QUARANTINED: CounterHandle = CounterHandle::new("repsim.serve.capture.quarantined");
 
-const MAGIC: &[u8; 8] = b"RSIMCAP1";
+static FORMAT: Format = Format {
+    magic: b"RSIMCAP1",
+    version: VERSION,
+    durable: false,
+    foreign_reason: "capture header invalid",
+    torn_event: "repsim.serve.capture.torn_tail",
+    quarantine_event: "repsim.serve.capture.quarantine",
+    torn: &CAP_TORN,
+    quarantined: &CAP_QUARANTINED,
+    replayed: &CAP_REPLAYED,
+};
+
 /// Current capture format version.
 pub const VERSION: u32 = 1;
 /// Fixed header size (magic + version + workload seed).
-pub const HEADER_LEN: usize = 20;
-/// Per-record prefix: body length (u32) + body checksum (u64).
-const RECORD_PREFIX: usize = 12;
-/// Fixed body prefix: seq + arrival offset + deadline.
-const BODY_FIXED: usize = 24;
+pub const HEADER_LEN: usize = framed::HEADER_LEN;
+/// Fixed payload prefix: arrival offset + deadline.
+const PAYLOAD_FIXED: usize = 16;
 /// `deadline_ms` wire value meaning "no deadline".
 const NO_DEADLINE: u64 = u64::MAX;
 
@@ -80,14 +73,9 @@ impl std::fmt::Display for CaptureError {
 
 impl std::error::Error for CaptureError {}
 
-fn io_err<'a>(
-    op: &'static str,
-    path: &'a Path,
-) -> impl FnOnce(std::io::Error) -> CaptureError + 'a {
-    move |e| CaptureError::Io {
-        op,
-        path: path.to_path_buf(),
-        message: e.to_string(),
+impl From<IoFailure> for CaptureError {
+    fn from(IoFailure { op, path, message }: IoFailure) -> CaptureError {
+        CaptureError::Io { op, path, message }
     }
 }
 
@@ -108,9 +96,7 @@ pub struct CaptureRecord {
 /// An open, append-positioned capture.
 #[derive(Debug)]
 pub struct CaptureWriter {
-    path: PathBuf,
-    file: File,
-    next_seq: u64,
+    log: Writer,
 }
 
 /// What [`recover`] reconstructed.
@@ -128,59 +114,12 @@ pub struct RecoveredCapture {
     pub quarantined_to: Option<PathBuf>,
 }
 
-fn header_bytes(seed: u64) -> Vec<u8> {
-    let mut h = Vec::with_capacity(HEADER_LEN);
-    h.extend_from_slice(MAGIC);
-    h.extend_from_slice(&VERSION.to_le_bytes());
-    h.extend_from_slice(&seed.to_le_bytes());
-    h
-}
-
-fn encode_record(
-    seq: u64,
-    arrival_offset_us: u64,
-    deadline_ms: Option<u64>,
-    line: &str,
-) -> Vec<u8> {
-    let mut body = Vec::with_capacity(BODY_FIXED + line.len());
-    body.extend_from_slice(&seq.to_le_bytes());
-    body.extend_from_slice(&arrival_offset_us.to_le_bytes());
-    body.extend_from_slice(&deadline_ms.unwrap_or(NO_DEADLINE).to_le_bytes());
-    body.extend_from_slice(line.as_bytes());
-    let mut rec = Vec::with_capacity(RECORD_PREFIX + body.len());
-    rec.extend_from_slice(&(body.len() as u32).to_le_bytes());
-    rec.extend_from_slice(&checksum(&body).to_le_bytes());
-    rec.extend_from_slice(&body);
-    rec
-}
-
-fn le_u32(b: &[u8], at: usize) -> u32 {
-    let mut a = [0u8; 4];
-    if let Some(s) = b.get(at..at + 4) {
-        a.copy_from_slice(s);
-    }
-    u32::from_le_bytes(a)
-}
-
-fn le_u64(b: &[u8], at: usize) -> u64 {
-    let mut a = [0u8; 8];
-    if let Some(s) = b.get(at..at + 8) {
-        a.copy_from_slice(s);
-    }
-    u64::from_le_bytes(a)
-}
-
 impl CaptureWriter {
     /// Creates a fresh capture at `path` (header only). Truncates an
     /// existing file — a capture is a recording, not a log to extend.
     pub fn create(path: &Path, seed: u64) -> Result<CaptureWriter, CaptureError> {
-        let mut f = File::create(path).map_err(io_err("create", path))?;
-        f.write_all(&header_bytes(seed))
-            .map_err(io_err("write", path))?;
         Ok(CaptureWriter {
-            path: path.to_path_buf(),
-            file: f,
-            next_seq: 1,
+            log: Writer::create(path, &FORMAT, seed)?,
         })
     }
 
@@ -194,24 +133,24 @@ impl CaptureWriter {
         deadline_ms: Option<u64>,
         line: &str,
     ) -> Result<u64, CaptureError> {
-        let seq = self.next_seq;
-        let rec = encode_record(seq, arrival_offset_us, deadline_ms, line);
-        self.file
-            .write_all(&rec)
-            .map_err(io_err("append", &self.path))?;
-        self.next_seq += 1;
+        let rec = self.log.frame(|b| {
+            b.extend_from_slice(&arrival_offset_us.to_le_bytes());
+            b.extend_from_slice(&deadline_ms.unwrap_or(NO_DEADLINE).to_le_bytes());
+            b.extend_from_slice(line.as_bytes());
+        });
+        let seq = self.log.append(&rec)?;
         CAP_APPENDS.add(1);
         Ok(seq)
     }
 
     /// The sequence number the next append will carry.
     pub fn next_seq(&self) -> u64 {
-        self.next_seq
+        self.log.next_seq()
     }
 
     /// Flushes and fsyncs the recording.
     pub fn finish(self) -> Result<(), CaptureError> {
-        self.file.sync_all().map_err(io_err("fsync", &self.path))
+        Ok(self.log.sync()?)
     }
 }
 
@@ -222,143 +161,32 @@ impl CaptureWriter {
 /// capture that does not exist is a caller mistake, not damage.
 pub fn recover(path: &Path) -> Result<RecoveredCapture, CaptureError> {
     let mut span = repsim_obs::span("repsim.serve.capture.replay");
-    let bytes = fs::read(path).map_err(io_err("read", path))?;
-
-    let header_ok = bytes.len() >= HEADER_LEN
-        && bytes.get(..8).map(|m| m == MAGIC) == Some(true)
-        && le_u32(&bytes, 8) == VERSION;
-    if !header_ok {
-        let quarantined_to =
-            crate::quarantine::rotate_file(path).map_err(io_err("quarantine", path))?;
-        CAP_QUARANTINED.add(1);
-        repsim_obs::point(
-            "repsim.serve.capture.quarantine",
-            repsim_obs::Level::Warn,
-            format!(
-                "capture header invalid; moved to {}",
-                quarantined_to.display()
-            ),
-        );
-        return Ok(RecoveredCapture {
-            seed: 0,
-            records: Vec::new(),
-            torn_truncated: false,
-            quarantined_to: Some(quarantined_to),
-        });
-    }
-    let seed = le_u64(&bytes, 12);
-
-    // Scan records; `pos` always marks the end of the last validated
-    // record. Same tail taxonomy as the WAL.
-    enum TailFate {
-        Clean,
-        Torn,
-        Corrupt(String),
-    }
-    let mut records: Vec<CaptureRecord> = Vec::new();
-    let mut pos = HEADER_LEN;
-    let mut expected_seq = 1u64;
-    let fate = loop {
-        let rest = bytes.get(pos..).unwrap_or(&[]);
-        if rest.is_empty() {
-            break TailFate::Clean;
-        }
-        if rest.len() < RECORD_PREFIX {
-            break TailFate::Torn;
-        }
-        let body_len = le_u32(rest, 0) as usize;
-        let declared_sum = le_u64(rest, 4);
-        let body = match rest.get(RECORD_PREFIX..RECORD_PREFIX + body_len) {
-            Some(b) => b,
-            None => break TailFate::Torn,
+    let bytes = fs::read(path).map_err(framed::io_err("read", path))?;
+    let scan = framed::recover(path, &bytes, &FORMAT, None, &mut span, |seq, payload| {
+        let Some(text) = payload.get(PAYLOAD_FIXED..) else {
+            return Err("body too short".to_owned());
         };
-        if checksum(body) != declared_sum {
-            break TailFate::Corrupt(format!("record {expected_seq}: checksum mismatch"));
-        }
-        if body.len() < BODY_FIXED {
-            break TailFate::Corrupt(format!("record {expected_seq}: body too short"));
-        }
-        let seq = le_u64(body, 0);
-        if seq != expected_seq {
-            break TailFate::Corrupt(format!(
-                "sequence gap (expected {expected_seq}, found {seq})"
-            ));
-        }
-        let arrival_offset_us = le_u64(body, 8);
-        let deadline = le_u64(body, 16);
-        let line = match std::str::from_utf8(body.get(BODY_FIXED..).unwrap_or(&[])) {
-            Ok(s) => s.to_owned(),
-            Err(e) => break TailFate::Corrupt(format!("record {seq}: request not UTF-8: {e}")),
-        };
-        records.push(CaptureRecord {
+        let deadline = le_u64(payload, 8);
+        let line = std::str::from_utf8(text).map_err(|e| format!("request not UTF-8: {e}"))?;
+        Ok(CaptureRecord {
             seq,
-            arrival_offset_us,
+            arrival_offset_us: le_u64(payload, 0),
             deadline_ms: (deadline != NO_DEADLINE).then_some(deadline),
-            line,
-        });
-        pos += RECORD_PREFIX + body_len;
-        expected_seq += 1;
-    };
-
-    let mut torn_truncated = false;
-    let mut quarantined_to = None;
-    match fate {
-        TailFate::Clean => {}
-        TailFate::Torn => {
-            torn_truncated = true;
-            CAP_TORN.add(1);
-            repsim_obs::point(
-                "repsim.serve.capture.torn_tail",
-                repsim_obs::Level::Warn,
-                format!(
-                    "truncating {} torn byte(s) after record {}",
-                    bytes.len() - pos,
-                    expected_seq.saturating_sub(1)
-                ),
-            );
-        }
-        TailFate::Corrupt(reason) => {
-            let tail = bytes.get(pos..).unwrap_or(&[]);
-            let dest =
-                crate::quarantine::rotate_bytes(path, tail).map_err(io_err("quarantine", path))?;
-            CAP_QUARANTINED.add(1);
-            repsim_obs::point(
-                "repsim.serve.capture.quarantine",
-                repsim_obs::Level::Warn,
-                format!(
-                    "{reason}; {} suffix byte(s) moved to {}",
-                    tail.len(),
-                    dest.display()
-                ),
-            );
-            quarantined_to = Some(dest);
-        }
-    }
-    if pos < bytes.len() {
-        let f = OpenOptions::new()
-            .write(true)
-            .open(path)
-            .map_err(io_err("open", path))?;
-        f.set_len(pos as u64).map_err(io_err("truncate", path))?;
-        f.sync_all().map_err(io_err("fsync", path))?;
-    }
-
-    CAP_REPLAYED.add(records.len() as u64);
-    if span.is_active() {
-        span.attr("records", records.len());
-        span.attr("torn", u64::from(torn_truncated));
-    }
+            line: line.to_owned(),
+        })
+    })?;
     Ok(RecoveredCapture {
-        seed,
-        records,
-        torn_truncated,
-        quarantined_to,
+        seed: scan.word.unwrap_or(0),
+        records: scan.records,
+        torn_truncated: scan.torn_truncated,
+        quarantined_to: scan.quarantined_to,
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::framed::{le_u32, RECORD_PREFIX};
 
     fn tmp_dir(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("repsim-cap-{name}-{}", std::process::id()));
@@ -387,45 +215,6 @@ mod tests {
     }
 
     #[test]
-    fn write_recover_roundtrip_is_exact() {
-        let dir = tmp_dir("roundtrip");
-        let path = dir.join("t.rsimcap");
-        populate(&path, 0xfeed);
-        let rec = recover(&path).unwrap();
-        assert_eq!(rec.seed, 0xfeed);
-        assert!(!rec.torn_truncated);
-        assert!(rec.quarantined_to.is_none());
-        assert_eq!(rec.records.len(), 4);
-        for (i, (r, line)) in rec.records.iter().zip(lines()).enumerate() {
-            assert_eq!(r.seq, i as u64 + 1);
-            assert_eq!(r.arrival_offset_us, 1000 * i as u64);
-            assert_eq!(r.deadline_ms, (i % 2 == 0).then_some(250));
-            assert_eq!(r.line, line);
-        }
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn torn_tail_truncates_and_prefix_survives() {
-        let dir = tmp_dir("torn");
-        let path = dir.join("t.rsimcap");
-        populate(&path, 7);
-        let full = fs::read(&path).unwrap();
-        for cut in [full.len() - 1, full.len() - 5, full.len() - 11] {
-            fs::write(&path, &full[..cut]).unwrap();
-            let rec = recover(&path).unwrap();
-            assert!(rec.torn_truncated, "cut at {cut}");
-            assert!(rec.quarantined_to.is_none());
-            assert_eq!(rec.records.len(), 3, "last record lost, prefix kept");
-            // Repaired in place: a second recovery is clean.
-            let again = recover(&path).unwrap();
-            assert!(!again.torn_truncated);
-            assert_eq!(again.records.len(), 3);
-        }
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
     fn corrupt_suffix_is_quarantined_prefix_survives() {
         let dir = tmp_dir("corrupt");
         let path = dir.join("t.rsimcap");
@@ -448,19 +237,6 @@ mod tests {
     }
 
     #[test]
-    fn foreign_file_is_quarantined_whole() {
-        let dir = tmp_dir("foreign");
-        let path = dir.join("t.rsimcap");
-        fs::write(&path, b"RSIMWAL1 this is some other format entirely").unwrap();
-        let rec = recover(&path).unwrap();
-        assert!(rec.records.is_empty());
-        let dest = rec.quarantined_to.expect("whole file quarantined");
-        assert!(dest.exists());
-        assert!(!path.exists(), "original moved aside");
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
     fn missing_capture_is_an_error_not_a_fresh_file() {
         let dir = tmp_dir("missing");
         let path = dir.join("nope.rsimcap");
@@ -475,21 +251,15 @@ mod tests {
         let path = dir.join("t.rsimcap");
         let mut w = CaptureWriter::create(&path, 1).unwrap();
         w.append(0, None, r#"{"op":"ping"}"#).unwrap();
+        // A second record whose text bytes are invalid UTF-8 but whose
+        // framing and checksum are correct.
+        let rec = w.log.frame(|b| {
+            b.extend_from_slice(&0u64.to_le_bytes());
+            b.extend_from_slice(&NO_DEADLINE.to_le_bytes());
+            b.extend_from_slice(&[0xff, 0xfe, 0x80]);
+        });
+        w.log.append(&rec).unwrap();
         w.finish().unwrap();
-        // Hand-craft a second record whose text bytes are invalid UTF-8
-        // but whose checksum is correct.
-        let mut body = Vec::new();
-        body.extend_from_slice(&2u64.to_le_bytes());
-        body.extend_from_slice(&0u64.to_le_bytes());
-        body.extend_from_slice(&NO_DEADLINE.to_le_bytes());
-        body.extend_from_slice(&[0xff, 0xfe, 0x80]);
-        let mut rec = Vec::new();
-        rec.extend_from_slice(&(body.len() as u32).to_le_bytes());
-        rec.extend_from_slice(&checksum(&body).to_le_bytes());
-        rec.extend_from_slice(&body);
-        let mut bytes = fs::read(&path).unwrap();
-        bytes.extend_from_slice(&rec);
-        fs::write(&path, &bytes).unwrap();
 
         let out = recover(&path).unwrap();
         assert_eq!(out.records.len(), 1);

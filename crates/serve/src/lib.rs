@@ -41,7 +41,9 @@
 //!    Live mutations append to a checksummed write-ahead log ([`wal`])
 //!    before they are acknowledged; recovery replays it, truncating a
 //!    torn tail and quarantining corrupt suffixes through the bounded
-//!    [`quarantine`] rotation.
+//!    [`quarantine`] rotation. The WAL and the traffic [`capture`] are
+//!    two thin codecs over one shared framed record log, so both have
+//!    one parser and one repair path.
 //!
 //! The serving path is observable end-to-end: queue depth, sheds,
 //! breaker transitions and snapshot save/load durations surface as
@@ -52,6 +54,7 @@ pub mod breaker;
 pub mod capture;
 pub mod coord;
 pub mod error;
+mod framed;
 pub mod protocol;
 pub mod quarantine;
 pub mod queue;

@@ -49,6 +49,8 @@ use repsim_sparse::{checksum, Budget, Csr};
 
 use repsim_obs::HistogramHandle;
 
+use crate::framed::{duration_ns, io_err, le_u32, le_u64, IoFailure};
+
 static SNAPSHOT_SAVE_NS: HistogramHandle = HistogramHandle::new("repsim.serve.snapshot.save_ns");
 static SNAPSHOT_LOAD_NS: HistogramHandle = HistogramHandle::new("repsim.serve.snapshot.load_ns");
 
@@ -88,6 +90,12 @@ impl std::fmt::Display for SnapshotError {
 }
 
 impl std::error::Error for SnapshotError {}
+
+impl From<IoFailure> for SnapshotError {
+    fn from(IoFailure { op, path, message }: IoFailure) -> SnapshotError {
+        SnapshotError::Io { op, path, message }
+    }
+}
 
 /// What [`load`] found.
 #[derive(Debug)]
@@ -140,17 +148,6 @@ pub fn graph_fingerprint(g: &Graph) -> u64 {
         bytes.extend_from_slice(&b.0.to_le_bytes());
     }
     checksum(&bytes)
-}
-
-fn io_err<'a>(
-    op: &'static str,
-    path: &'a Path,
-) -> impl FnOnce(std::io::Error) -> SnapshotError + 'a {
-    move |e| SnapshotError::Io {
-        op,
-        path: path.to_path_buf(),
-        message: e.to_string(),
-    }
 }
 
 /// Serializes the cache into snapshot bytes (header + payload). Entries
@@ -262,7 +259,7 @@ pub fn load(path: &Path, g: &Graph) -> Result<LoadOutcome, SnapshotError> {
     let bytes = match fs::read(path) {
         Ok(b) => b,
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(LoadOutcome::Absent),
-        Err(e) => return Err(io_err("read", path)(e)),
+        Err(e) => return Err(io_err("read", path)(e).into()),
     };
     match validate_and_decode(&bytes, g) {
         Ok(entries) => {
@@ -297,22 +294,22 @@ fn validate_and_decode(bytes: &[u8], g: &Graph) -> Result<Vec<(CacheKind, MetaWa
     if &header[..8] != MAGIC {
         return Err("bad magic".to_owned());
     }
-    let version = u32::from_le_bytes(sub4(header, 8));
+    let version = le_u32(header, 8);
     if version != VERSION {
         return Err(format!(
             "unsupported version {version} (expected {VERSION})"
         ));
     }
-    let file_fp = u64::from_le_bytes(sub8(header, 12));
+    let file_fp = le_u64(header, 12);
     let live_fp = graph_fingerprint(g);
     if file_fp != live_fp {
         return Err(format!(
             "graph fingerprint mismatch (snapshot {file_fp:#018x}, live graph {live_fp:#018x})"
         ));
     }
-    let entry_count = u64::from_le_bytes(sub8(header, 20));
-    let payload_len = u64::from_le_bytes(sub8(header, 28));
-    let declared_sum = u64::from_le_bytes(sub8(header, 36));
+    let entry_count = le_u64(header, 20);
+    let payload_len = le_u64(header, 28);
+    let declared_sum = le_u64(header, 36);
     let payload = bytes.get(HEADER_LEN..).unwrap_or(&[]); // header slice above proved HEADER_LEN bytes exist
     if payload.len() as u64 != payload_len {
         return Err(format!(
@@ -337,12 +334,10 @@ fn validate_and_decode(bytes: &[u8], g: &Graph) -> Result<Vec<(CacheKind, MetaWa
             None => return Err(format!("entry {i}: truncated at kind byte")),
         };
         pos += 1;
-        let len_bytes = payload
-            .get(pos..pos + 8)
-            .ok_or_else(|| format!("entry {i}: truncated walk length"))?;
-        let mut arr = [0u8; 8];
-        arr.copy_from_slice(len_bytes);
-        let walk_len = usize::try_from(u64::from_le_bytes(arr))
+        if payload.len() < pos + 8 {
+            return Err(format!("entry {i}: truncated walk length"));
+        }
+        let walk_len = usize::try_from(le_u64(payload, pos))
             .map_err(|_| format!("entry {i}: implausible walk length"))?;
         pos += 8;
         let text_bytes = payload
@@ -371,26 +366,6 @@ fn validate_and_decode(bytes: &[u8], g: &Graph) -> Result<Vec<(CacheKind, MetaWa
         ));
     }
     Ok(entries)
-}
-
-fn sub4(b: &[u8], at: usize) -> [u8; 4] {
-    let mut a = [0u8; 4];
-    if let Some(s) = b.get(at..at + 4) {
-        a.copy_from_slice(s);
-    }
-    a
-}
-
-fn sub8(b: &[u8], at: usize) -> [u8; 8] {
-    let mut a = [0u8; 8];
-    if let Some(s) = b.get(at..at + 8) {
-        a.copy_from_slice(s);
-    }
-    a
-}
-
-fn duration_ns(start: Instant) -> u64 {
-    u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX)
 }
 
 #[cfg(test)]

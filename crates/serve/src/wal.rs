@@ -2,36 +2,17 @@
 //!
 //! Every accepted mutation is appended — and fsynced — to the log
 //! *before* it is acknowledged, so an acknowledged write survives any
-//! crash. The file layout is append-only:
+//! crash. The file is a framed record log (`framed.rs`): magic
+//! `b"RSIMWAL1"`, the base graph fingerprint as header word, and per
+//! record `fp_after: u64 LE` (the graph fingerprint *after* the
+//! mutation) followed by the [`MutationOp`] in its binary encoding.
 //!
-//! ```text
-//! offset  size  field
-//! 0       8     magic  b"RSIMWAL1"
-//! 8       4     version (u32 LE, currently 1)
-//! 12      8     base graph fingerprint (u64 LE)
-//! 20      …     records, back to back
-//! ```
-//!
-//! Each record is `len: u32 LE` (body length), `checksum: u64 LE`
-//! (FNV-1a over the body), then the body: `seq: u64 LE` (1-based,
-//! gap-free), `fp_after: u64 LE` (the graph fingerprint *after* the
-//! mutation), and the [`MutationOp`] in its binary encoding.
-//!
-//! **Recovery** ([`Wal::recover`]) replays the log against the boot
-//! graph, re-applying each mutation and checking the recomputed
-//! fingerprint against the recorded `fp_after` — the log is not
-//! trusted, it is re-derived. Two failure shapes are distinguished:
-//!
-//! * a **torn tail** (the file ends mid-record — the classic
-//!   crash-during-append): the partial record was never acknowledged,
-//!   so it is truncated away with a Warn event and
-//!   `repsim.graph.wal.torn_truncations` tick;
-//! * a **corrupt suffix** (checksum, sequence, decode, apply or
-//!   fingerprint failure): the bytes from the first bad record onward
-//!   are quarantined through the bounded [`crate::quarantine`]
-//!   rotation, then truncated, and `repsim.graph.wal.quarantined`
-//!   ticks. Everything before the bad record is kept — prefix
-//!   durability is exactly what the per-record checksum buys.
+//! **Recovery** ([`Wal::recover`]) re-derives rather than trusts the
+//! log: each mutation is re-applied to the boot graph and must land on
+//! its recorded `fp_after`, or it starts a corrupt suffix. A torn tail
+//! is truncated and a corrupt suffix quarantined, keeping the prefix. A
+//! missing log, or one whose header names another graph, is replaced by
+//! a fresh one.
 //!
 //! The `wal.append` failpoint fails an append before any byte is
 //! written (clean typed error, log unchanged); `wal.torn_tail` writes
@@ -39,18 +20,18 @@
 //! state deterministically. Both are double-gated behind
 //! [`Budget::with_fault_injection`].
 
-use std::fs::{self, File, OpenOptions};
-use std::io::Write as _;
+use std::fs;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
 use repsim_graph::mutation::{self, MutationOp};
 use repsim_graph::Graph;
 use repsim_sparse::budget::failpoints;
-use repsim_sparse::{checksum, Budget};
+use repsim_sparse::Budget;
 
 use repsim_obs::{CounterHandle, HistogramHandle};
 
+use crate::framed::{self, duration_ns, le_u64, Format, IoFailure, Writer};
 use crate::snapshot::graph_fingerprint;
 
 static WAL_APPENDS: CounterHandle = CounterHandle::new("repsim.graph.wal.appends");
@@ -60,13 +41,22 @@ static WAL_TORN: CounterHandle = CounterHandle::new("repsim.graph.wal.torn_trunc
 static WAL_QUARANTINED: CounterHandle = CounterHandle::new("repsim.graph.wal.quarantined");
 static WAL_APPEND_NS: HistogramHandle = HistogramHandle::new("repsim.graph.wal.append_ns");
 
-const MAGIC: &[u8; 8] = b"RSIMWAL1";
+static FORMAT: Format = Format {
+    magic: b"RSIMWAL1",
+    version: VERSION,
+    durable: true,
+    foreign_reason: "log header invalid or base fingerprint mismatch",
+    torn_event: "repsim.graph.wal.torn_tail",
+    quarantine_event: "repsim.graph.wal.quarantine",
+    torn: &WAL_TORN,
+    quarantined: &WAL_QUARANTINED,
+    replayed: &WAL_REPLAYED,
+};
+
 /// Current log format version.
 pub const VERSION: u32 = 1;
 /// Fixed header size (magic + version + base fingerprint).
-pub const HEADER_LEN: usize = 20;
-/// Per-record prefix: body length (u32) + body checksum (u64).
-const RECORD_PREFIX: usize = 12;
+pub const HEADER_LEN: usize = framed::HEADER_LEN;
 
 /// Errors from the log itself. Corruption found during recovery is
 /// *not* an error — it is repaired (truncate/quarantine) and reported
@@ -104,11 +94,9 @@ impl std::fmt::Display for WalError {
 
 impl std::error::Error for WalError {}
 
-fn io_err<'a>(op: &'static str, path: &'a Path) -> impl FnOnce(std::io::Error) -> WalError + 'a {
-    move |e| WalError::Io {
-        op,
-        path: path.to_path_buf(),
-        message: e.to_string(),
+impl From<IoFailure> for WalError {
+    fn from(IoFailure { op, path, message }: IoFailure) -> WalError {
+        WalError::Io { op, path, message }
     }
 }
 
@@ -126,9 +114,7 @@ pub struct WalRecord {
 /// An open, append-positioned log.
 #[derive(Debug)]
 pub struct Wal {
-    path: PathBuf,
-    file: File,
-    next_seq: u64,
+    log: Writer,
 }
 
 /// What [`Wal::recover`] reconstructed.
@@ -149,67 +135,7 @@ pub struct RecoveredLog {
     pub quarantined_to: Option<PathBuf>,
 }
 
-fn header_bytes(base_fp: u64) -> Vec<u8> {
-    let mut h = Vec::with_capacity(HEADER_LEN);
-    h.extend_from_slice(MAGIC);
-    h.extend_from_slice(&VERSION.to_le_bytes());
-    h.extend_from_slice(&base_fp.to_le_bytes());
-    h
-}
-
-fn encode_record(seq: u64, fp_after: u64, op: &MutationOp) -> Vec<u8> {
-    let mut body = Vec::new();
-    body.extend_from_slice(&seq.to_le_bytes());
-    body.extend_from_slice(&fp_after.to_le_bytes());
-    op.encode_into(&mut body);
-    let mut rec = Vec::with_capacity(RECORD_PREFIX + body.len());
-    rec.extend_from_slice(&(body.len() as u32).to_le_bytes());
-    rec.extend_from_slice(&checksum(&body).to_le_bytes());
-    rec.extend_from_slice(&body);
-    rec
-}
-
-fn le_u32(b: &[u8], at: usize) -> u32 {
-    let mut a = [0u8; 4];
-    if let Some(s) = b.get(at..at + 4) {
-        a.copy_from_slice(s);
-    }
-    u32::from_le_bytes(a)
-}
-
-fn le_u64(b: &[u8], at: usize) -> u64 {
-    let mut a = [0u8; 8];
-    if let Some(s) = b.get(at..at + 8) {
-        a.copy_from_slice(s);
-    }
-    u64::from_le_bytes(a)
-}
-
-fn duration_ns(start: Instant) -> u64 {
-    u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX)
-}
-
-/// What the record-scan decided about the bytes from `pos` on.
-enum TailFate {
-    Clean,
-    Torn,
-    Corrupt(String),
-}
-
 impl Wal {
-    /// Creates a fresh log at `path` (header only), fsynced.
-    fn create(path: &Path, base_fp: u64) -> Result<Wal, WalError> {
-        let mut f = File::create(path).map_err(io_err("create", path))?;
-        f.write_all(&header_bytes(base_fp))
-            .map_err(io_err("write", path))?;
-        f.sync_all().map_err(io_err("fsync", path))?;
-        Ok(Wal {
-            path: path.to_path_buf(),
-            file: f,
-            next_seq: 1,
-        })
-    }
-
     /// Opens (or creates) the log at `path` and replays it against the
     /// boot graph `g`. Always returns a usable log: corruption is
     /// repaired in place (truncation + quarantine), never fatal. A log
@@ -219,186 +145,58 @@ impl Wal {
     pub fn recover(path: &Path, g: &Graph) -> Result<RecoveredLog, WalError> {
         let mut span = repsim_obs::span("repsim.graph.wal.replay");
         let base_fp = graph_fingerprint(g);
-        let bytes = match fs::read(path) {
-            Ok(b) => b,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-                let wal = Wal::create(path, base_fp)?;
-                return Ok(RecoveredLog {
-                    wal,
-                    graph: g.clone(),
-                    fingerprint: base_fp,
-                    records: Vec::new(),
-                    torn_truncated: false,
-                    quarantined_to: None,
-                });
-            }
-            Err(e) => return Err(io_err("read", path)(e)),
-        };
-
-        let header_ok = bytes.len() >= HEADER_LEN
-            && bytes.get(..8).map(|m| m == MAGIC) == Some(true)
-            && le_u32(&bytes, 8) == VERSION
-            && le_u64(&bytes, 12) == base_fp;
-        if !header_ok {
-            // Foreign or mangled log: not ours to replay. Move it aside
-            // whole and start over from the boot graph.
-            let quarantined_to =
-                crate::quarantine::rotate_file(path).map_err(io_err("quarantine", path))?;
-            WAL_QUARANTINED.add(1);
-            repsim_obs::point(
-                "repsim.graph.wal.quarantine",
-                repsim_obs::Level::Warn,
-                format!(
-                    "log header invalid or base fingerprint mismatch; moved to {}",
-                    quarantined_to.display()
-                ),
-            );
-            let wal = Wal::create(path, base_fp)?;
-            return Ok(RecoveredLog {
-                wal,
-                graph: g.clone(),
-                fingerprint: base_fp,
-                records: Vec::new(),
-                torn_truncated: false,
-                quarantined_to: Some(quarantined_to),
-            });
-        }
-
-        // Scan records, replaying each onto the running graph. `pos`
-        // always marks the end of the last fully-validated record.
         let mut graph = g.clone();
         let mut fingerprint = base_fp;
-        let mut records: Vec<WalRecord> = Vec::new();
-        let mut pos = HEADER_LEN;
-        let mut expected_seq = 1u64;
-        let fate = loop {
-            let rest = bytes.get(pos..).unwrap_or(&[]);
-            if rest.is_empty() {
-                break TailFate::Clean;
-            }
-            if rest.len() < RECORD_PREFIX {
-                break TailFate::Torn;
-            }
-            let body_len = le_u32(rest, 0) as usize;
-            let declared_sum = le_u64(rest, 4);
-            let body = match rest.get(RECORD_PREFIX..RECORD_PREFIX + body_len) {
-                Some(b) => b,
-                None => break TailFate::Torn,
+        // Re-derive, don't trust: each mutation must apply and land on
+        // exactly the fingerprint that was acknowledged.
+        let replay = |seq: u64, payload: &[u8]| {
+            let Some(op_bytes) = payload.get(8..) else {
+                return Err("body too short".to_owned());
             };
-            if checksum(body) != declared_sum {
-                break TailFate::Corrupt(format!("record {expected_seq}: checksum mismatch"));
-            }
-            if body.len() < 16 {
-                break TailFate::Corrupt(format!("record {expected_seq}: body too short"));
-            }
-            let seq = le_u64(body, 0);
-            let fp_after = le_u64(body, 8);
-            if seq != expected_seq {
-                break TailFate::Corrupt(format!(
-                    "sequence gap (expected {expected_seq}, found {seq})"
-                ));
-            }
-            let op_bytes = body.get(16..).unwrap_or(&[]);
-            let (op, used) = match MutationOp::decode(op_bytes) {
-                Ok(d) => d,
-                Err(e) => break TailFate::Corrupt(format!("record {seq}: {e}")),
-            };
+            let fp_after = le_u64(payload, 0);
+            let (op, used) = MutationOp::decode(op_bytes)?;
             if used != op_bytes.len() {
-                break TailFate::Corrupt(format!("record {seq}: trailing bytes in body"));
+                return Err("trailing bytes in body".to_owned());
             }
-            // Re-derive, don't trust: the mutation must apply and land
-            // on exactly the fingerprint that was acknowledged.
-            let next = match mutation::apply(&graph, &op) {
-                Ok(gn) => gn,
-                Err(e) => break TailFate::Corrupt(format!("record {seq}: replay failed: {e}")),
-            };
+            let next = mutation::apply(&graph, &op).map_err(|e| format!("replay failed: {e}"))?;
             let fp = graph_fingerprint(&next);
             if fp != fp_after {
-                break TailFate::Corrupt(format!(
-                    "record {seq}: fingerprint diverged (log {fp_after:#018x}, replay {fp:#018x})"
+                return Err(format!(
+                    "fingerprint diverged (log {fp_after:#018x}, replay {fp:#018x})"
                 ));
             }
             graph = next;
             fingerprint = fp;
-            records.push(WalRecord { seq, fp_after, op });
-            pos += RECORD_PREFIX + body_len;
-            expected_seq += 1;
+            Ok(WalRecord { seq, fp_after, op })
         };
-
-        let mut torn_truncated = false;
-        let mut quarantined_to = None;
-        match fate {
-            TailFate::Clean => {}
-            TailFate::Torn => {
-                torn_truncated = true;
-                WAL_TORN.add(1);
-                repsim_obs::point(
-                    "repsim.graph.wal.torn_tail",
-                    repsim_obs::Level::Warn,
-                    format!(
-                        "truncating {} torn byte(s) after record {}",
-                        bytes.len() - pos,
-                        expected_seq.saturating_sub(1)
-                    ),
-                );
-            }
-            TailFate::Corrupt(reason) => {
-                let tail = bytes.get(pos..).unwrap_or(&[]);
-                let dest = crate::quarantine::rotate_bytes(path, tail)
-                    .map_err(io_err("quarantine", path))?;
-                WAL_QUARANTINED.add(1);
-                repsim_obs::point(
-                    "repsim.graph.wal.quarantine",
-                    repsim_obs::Level::Warn,
-                    format!(
-                        "{reason}; {} suffix byte(s) moved to {}",
-                        tail.len(),
-                        dest.display()
-                    ),
-                );
-                quarantined_to = Some(dest);
-            }
+        if !path.exists() {
+            Writer::create(path, &FORMAT, base_fp)?;
         }
-        if pos < bytes.len() {
-            let f = OpenOptions::new()
-                .write(true)
-                .open(path)
-                .map_err(io_err("open", path))?;
-            f.set_len(pos as u64).map_err(io_err("truncate", path))?;
-            f.sync_all().map_err(io_err("fsync", path))?;
-        }
-
-        let file = OpenOptions::new()
-            .append(true)
-            .open(path)
-            .map_err(io_err("open", path))?;
-        WAL_REPLAYED.add(records.len() as u64);
-        if span.is_active() {
-            span.attr("records", records.len());
-            span.attr("torn", u64::from(torn_truncated));
-        }
+        let bytes = fs::read(path).map_err(framed::io_err("read", path))?;
+        let scan = framed::recover(path, &bytes, &FORMAT, Some(base_fp), &mut span, replay)?;
+        let log = match scan.word {
+            Some(_) => Writer::reopen(path, &FORMAT, scan.records.len() as u64 + 1)?,
+            // A foreign log was moved aside: start a fresh one.
+            None => Writer::create(path, &FORMAT, base_fp)?,
+        };
         Ok(RecoveredLog {
-            wal: Wal {
-                path: path.to_path_buf(),
-                file,
-                next_seq: expected_seq,
-            },
+            wal: Wal { log },
             graph,
             fingerprint,
-            records,
-            torn_truncated,
-            quarantined_to,
+            records: scan.records,
+            torn_truncated: scan.torn_truncated,
+            quarantined_to: scan.quarantined_to,
         })
     }
 
     /// The sequence number the next append will carry.
     pub fn next_seq(&self) -> u64 {
-        self.next_seq
+        self.log.next_seq()
     }
 
     /// The log's path.
     pub fn path(&self) -> &Path {
-        &self.path
+        self.log.path()
     }
 
     /// Appends one mutation (durably: write + fsync) and returns its
@@ -419,24 +217,18 @@ impl Wal {
         if budget.injected(failpoints::WAL_APPEND) {
             return Err(WalError::Injected);
         }
-        let seq = self.next_seq;
-        let rec = encode_record(seq, fp_after, op);
+        let rec = self.log.frame(|b| {
+            b.extend_from_slice(&fp_after.to_le_bytes());
+            op.encode_into(b);
+        });
         if budget.injected(failpoints::WAL_TORN_TAIL) {
             // Crash-mid-append simulation: half the record reaches the
             // disk, the acknowledgment never happens. Recovery must
             // truncate this tail.
-            let half = rec.get(..rec.len() / 2).unwrap_or(&rec);
-            self.file
-                .write_all(half)
-                .map_err(io_err("append", &self.path))?;
-            self.file.sync_all().map_err(io_err("fsync", &self.path))?;
+            self.log.write(rec.get(..rec.len() / 2).unwrap_or(&rec))?;
             return Err(WalError::InjectedTorn);
         }
-        self.file
-            .write_all(&rec)
-            .map_err(io_err("append", &self.path))?;
-        self.file.sync_all().map_err(io_err("fsync", &self.path))?;
-        self.next_seq += 1;
+        let seq = self.log.append(&rec)?;
         WAL_APPENDS.add(1);
         WAL_BYTES.add(rec.len() as u64);
         WAL_APPEND_NS.record(duration_ns(start));
@@ -451,6 +243,7 @@ impl Wal {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::framed::{le_u32, RECORD_PREFIX};
     use repsim_graph::{GraphBuilder, NodeRef};
 
     fn base_graph() -> Graph {
@@ -505,70 +298,15 @@ mod tests {
         dir
     }
 
-    /// Appends every op from `ops()` to a fresh log, returning the
-    /// final graph and its fingerprint.
-    fn populate(path: &Path, g: &Graph) -> (Graph, u64) {
+    /// Appends every op from `ops()` to a fresh log.
+    fn populate(path: &Path, g: &Graph) {
         let rec = Wal::recover(path, g).unwrap();
-        let mut wal = rec.wal;
-        let mut cur = rec.graph;
-        let mut fp = rec.fingerprint;
+        let (mut wal, mut cur) = (rec.wal, rec.graph);
         for op in ops() {
             cur = mutation::apply(&cur, &op).unwrap();
-            fp = graph_fingerprint(&cur);
-            wal.append(&op, fp, &Budget::unlimited()).unwrap();
-        }
-        (cur, fp)
-    }
-
-    #[test]
-    fn append_replay_roundtrip_is_exact() {
-        let g = base_graph();
-        let dir = tmp_dir("roundtrip");
-        let path = dir.join("g.wal");
-        let (expect, expect_fp) = populate(&path, &g);
-
-        let rec = Wal::recover(&path, &g).unwrap();
-        assert_eq!(rec.records.len(), 4);
-        assert!(!rec.torn_truncated);
-        assert!(rec.quarantined_to.is_none());
-        assert_eq!(rec.fingerprint, expect_fp);
-        assert_eq!(rec.fingerprint, graph_fingerprint(&expect));
-        assert_eq!(rec.wal.next_seq(), 5);
-        assert_eq!(
-            rec.records.iter().map(|r| r.seq).collect::<Vec<_>>(),
-            vec![1, 2, 3, 4]
-        );
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn torn_tail_is_truncated_and_log_stays_usable() {
-        let g = base_graph();
-        let dir = tmp_dir("torn");
-        let path = dir.join("g.wal");
-        populate(&path, &g);
-        let full = fs::read(&path).unwrap();
-        // Sever the file mid-final-record, at several depths.
-        for cut in [full.len() - 1, full.len() - 10, full.len() - 20] {
-            fs::write(&path, &full[..cut]).unwrap();
-            let rec = Wal::recover(&path, &g).unwrap();
-            assert!(rec.torn_truncated, "cut at {cut}");
-            assert!(rec.quarantined_to.is_none());
-            assert_eq!(rec.records.len(), 3, "last record lost, prefix kept");
-            // The file was repaired: a second recovery is clean.
-            let again = Wal::recover(&path, &g).unwrap();
-            assert!(!again.torn_truncated);
-            assert_eq!(again.records.len(), 3);
-            // And the log still accepts appends after repair.
-            let mut wal = again.wal;
-            let op = ops().remove(3);
-            let next = mutation::apply(&again.graph, &op).unwrap();
-            wal.append(&op, graph_fingerprint(&next), &Budget::unlimited())
+            wal.append(&op, graph_fingerprint(&cur), &Budget::unlimited())
                 .unwrap();
-            let healed = Wal::recover(&path, &g).unwrap();
-            assert_eq!(healed.records.len(), 4);
         }
-        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -592,29 +330,6 @@ mod tests {
         assert!(dest.exists());
         assert_eq!(fs::read(&dest).unwrap(), &bad[r2_at..]);
         assert_eq!(fs::read(&path).unwrap().len(), r2_at);
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn foreign_log_is_quarantined_whole() {
-        let g = base_graph();
-        let dir = tmp_dir("foreign");
-        let path = dir.join("g.wal");
-        populate(&path, &g);
-        // Recover against a *different* graph: base fingerprint
-        // mismatch, whole file moved aside, fresh log started.
-        let mut b = GraphBuilder::new();
-        let l = b.entity_label("thing");
-        b.entity(l, "only");
-        let g2 = b.build();
-        let rec = Wal::recover(&path, &g2).unwrap();
-        assert!(rec.records.is_empty());
-        assert!(rec.quarantined_to.is_some());
-        assert_eq!(rec.fingerprint, graph_fingerprint(&g2));
-        // The fresh log is a bare header for g2.
-        let fresh = fs::read(&path).unwrap();
-        assert_eq!(fresh.len(), HEADER_LEN);
-        assert_eq!(le_u64(&fresh, 12), graph_fingerprint(&g2));
         let _ = fs::remove_dir_all(&dir);
     }
 
