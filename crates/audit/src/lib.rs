@@ -92,8 +92,9 @@ pub const ENUM_AUDITS: &[EnumConfig] = &[
 /// The declared global lock order of the serve layer (`RA05xx`).
 ///
 /// `state(10) < wal(20) < seeds(30) < epoch(40)`; the admission queue's
-/// `inner` mutex and the breaker's per-class mutexes are *leaves*
-/// (rank 1000): nothing may be acquired while one is held.
+/// `inner` mutex, the breaker's per-class mutexes and the coordinator's
+/// per-replica `idle` pool are *leaves* (rank 1000): nothing may be
+/// acquired while one is held.
 pub const SERVE_LOCK_ORDER: &[LockOrderConfig] = &[
     LockOrderConfig {
         file: "crates/serve/src/service.rs",
@@ -139,6 +140,13 @@ pub const SERVE_LOCK_ORDER: &[LockOrderConfig] = &[
         // *outside* the registry lock (only the membership set is
         // guarded), so nothing may be acquired while it is held.
         ranks: &[("flights", 1000), ("done", 1000)],
+        wrappers: &[],
+    },
+    LockOrderConfig {
+        file: "crates/serve/src/coord.rs",
+        // A replica's idle-connection pool is a leaf: held only to push
+        // or pop a stream, never across a connect, read or write.
+        ranks: &[("idle", 1000)],
         wrappers: &[],
     },
 ];

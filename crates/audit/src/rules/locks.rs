@@ -6,7 +6,7 @@
 //!
 //! ```text
 //! state(10) < wal(20) < seeds(30) < epoch(40)      service-level locks
-//! queue.inner, breaker.rank, breaker.mutate = leaf (1000)
+//! queue.inner, breaker.rank, breaker.mutate, coord.idle = leaf (1000)
 //! ```
 //!
 //! A *leaf* lock is terminal: nothing may be acquired while holding

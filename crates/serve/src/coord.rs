@@ -34,24 +34,37 @@
 //!    down, the merged ranking of the live shards is returned with tier
 //!    `partial-shards:A/T` and an explicit `coverage` object. Zero live
 //!    shards is the floor: a typed `shards_unavailable` error.
+//!
+//! The transport keeps connections. Each replica pools up to
+//! `IDLE_CAP` idle connections (a fixed cap, no knob); an attempt takes
+//! one if it can and connects otherwise. Every forwarded request carries
+//! a process-wide attempt id that the shard echoes. A connection returns
+//! to the pool only after exactly one complete reply line with the
+//! attempt's own id and nothing after it; a timeout, an I/O or parse
+//! error or a foreign id drops it. A pooled connection that meets EOF or
+//! a reset before any reply byte was closed by a replica that restarted
+//! or stopped: the attempt empties that replica's pool and retries once
+//! on a fresh connection, which a dead replica refuses. The resend is
+//! safe because `rank`, an idempotent read, is the only op routed here.
+//! The accept loop blocks, waking every `POLL` only to check shutdown.
 
-use std::io::{Read as _, Write as _};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::{ErrorKind, Read as _, Write as _};
+use std::net::{SocketAddr, TcpStream};
 use std::path::PathBuf;
 use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
 use repsim_audit::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use repsim_audit::sync::Arc;
+use repsim_audit::sync::{Arc, Mutex};
 use repsim_obs::{CounterHandle, Histogram, HistogramHandle, HistogramSummary};
 
 use crate::breaker::{BreakerConfig, CircuitBreaker, OpClass};
 use crate::error::ServiceError;
 use crate::protocol::{
-    parse_shard_reply, render_rank_request, RankEntry, ReqId, Request, Response, ShardIdent,
-    ShardReply,
+    parse_shard_reply_with_id, render_rank_request, RankEntry, ReqId, Request, Response,
+    ShardIdent, ShardReply,
 };
-use crate::server::ServeError;
+use crate::server::{accept_until_shutdown, bind_listener, ServeError, POLL};
 
 static REQUESTS: CounterHandle = CounterHandle::new("repsim.serve.coord.requests");
 static SHED: CounterHandle = CounterHandle::new("repsim.serve.coord.shed");
@@ -61,6 +74,7 @@ static HEDGE_WINS: CounterHandle = CounterHandle::new("repsim.serve.coord.hedge_
 static PARTIAL: CounterHandle = CounterHandle::new("repsim.serve.coord.partial");
 static EPOCH_MISMATCH: CounterHandle = CounterHandle::new("repsim.serve.coord.epoch_mismatch");
 static SHARD_FAILED: CounterHandle = CounterHandle::new("repsim.serve.coord.shard_failed");
+static CONNECTS: CounterHandle = CounterHandle::new("repsim.serve.coord.connects");
 static LATENCY_NS: HistogramHandle = HistogramHandle::new("repsim.serve.coord.latency_ns");
 
 /// Attempt timeout when the request carries no deadline: generous, but
@@ -72,8 +86,14 @@ const DEFAULT_ATTEMPT_TIMEOUT: Duration = Duration::from_secs(10);
 /// the fleet's load for nothing.
 const HEDGE_MIN_SAMPLES: u64 = 20;
 
-/// How long a blocked client read waits before re-checking shutdown.
-const POLL: Duration = Duration::from_millis(50);
+/// Idle connections kept per replica. One closed-loop client needs one
+/// per replica; the rest is headroom for hedges and overlapping
+/// requests. A connection finishing while the pool is full is closed.
+const IDLE_CAP: usize = 4;
+
+/// Process-wide attempt ids, stamped on every forwarded request and
+/// echoed by the shard.
+static NEXT_ATTEMPT_ID: AtomicU64 = AtomicU64::new(1);
 
 /// Coordinator tuning.
 #[derive(Clone, Debug)]
@@ -117,10 +137,51 @@ pub struct CoordReport {
 }
 
 /// One replica endpoint of a shard, with its private breaker — endpoint
-/// health is per-endpoint, not per-shard.
+/// health is per-endpoint, not per-shard — and its idle connections.
 struct Replica {
     addr: String,
     breaker: CircuitBreaker,
+    /// Connections with no request in flight and no unread byte. A leaf
+    /// lock, held only to push or pop: never across a connect, read or
+    /// write.
+    idle: Mutex<Vec<TcpStream>>,
+    /// Fresh connections opened to this replica.
+    connects: AtomicU64,
+}
+
+impl Replica {
+    fn new(addr: String, breaker: BreakerConfig) -> Replica {
+        Replica {
+            addr,
+            breaker: CircuitBreaker::new(breaker),
+            idle: Mutex::new(Vec::new()),
+            connects: AtomicU64::new(0),
+        }
+    }
+
+    fn take_idle(&self) -> Option<TcpStream> {
+        self.idle.lock().unwrap_or_else(|e| e.into_inner()).pop()
+    }
+
+    /// Pools `stream` unless the pool is full; a refused stream closes
+    /// after the lock is released.
+    fn put_idle(&self, stream: TcpStream) {
+        let refused = {
+            let mut idle = self.idle.lock().unwrap_or_else(|e| e.into_inner());
+            if idle.len() < IDLE_CAP {
+                idle.push(stream);
+                None
+            } else {
+                Some(stream)
+            }
+        };
+        drop(refused);
+    }
+
+    /// Empties the pool; the caller drops the streams outside the lock.
+    fn drain_idle(&self) -> Vec<TcpStream> {
+        std::mem::take(&mut *self.idle.lock().unwrap_or_else(|e| e.into_inner()))
+    }
 }
 
 /// One shard's replica set plus its observed latency distribution (the
@@ -169,10 +230,7 @@ impl Coordinator {
                 Arc::new(ShardState {
                     replicas: replicas
                         .iter()
-                        .map(|addr| Replica {
-                            addr: addr.clone(),
-                            breaker: CircuitBreaker::new(cfg.breaker),
-                        })
+                        .map(|addr| Replica::new(addr.clone(), cfg.breaker))
                         .collect(),
                     latency: Histogram::default(),
                     rr: AtomicUsize::new(0),
@@ -238,11 +296,17 @@ impl Coordinator {
         // A shard's verdict: a mergeable answer, or the text of why its
         // whole replica set produced none.
         let (tx, rx) = mpsc::channel::<(usize, Result<ShardSuccess, String>)>();
-        let line = render_rank_request(walk, label, value, k, remaining_ms(deadline));
+        let req = Arc::new(ShardRequest {
+            walk: walk.to_owned(),
+            label: label.to_owned(),
+            value: value.to_owned(),
+            k,
+            deadline_ms: remaining_ms(deadline),
+        });
         for (i, shard) in self.shards.iter().enumerate() {
             let shard = Arc::clone(shard);
             let tx = tx.clone();
-            let line = line.clone();
+            let req = Arc::clone(&req);
             let counters = GatherCounters {
                 retries: CounterPair {
                     local: Arc::clone(&self.retries),
@@ -258,7 +322,7 @@ impl Coordinator {
                 },
             };
             std::thread::spawn(move || {
-                let verdict = query_shard(&shard, &line, deadline, &counters);
+                let verdict = query_shard(&shard, &req, deadline, &counters);
                 let _ = tx.send((i, verdict));
             });
         }
@@ -407,10 +471,17 @@ impl Coordinator {
                 format!("[{}]", states.join(","))
             })
             .collect();
+        let connects: u64 = self
+            .shards
+            .iter()
+            .flat_map(|s| &s.replicas)
+            .map(|r| c(&r.connects))
+            .sum();
         format!(
             "{{\"requests\":{},\"shed\":{},\"retries\":{},\"hedges\":{},\
              \"hedge_wins\":{},\"partial\":{},\"epoch_mismatch\":{},\
-             \"shard_failed\":{},\"shards\":{},\"breakers\":[{}],\"uptime_ms\":{}}}",
+             \"shard_failed\":{},\"connects\":{},\"shards\":{},\"breakers\":[{}],\
+             \"uptime_ms\":{}}}",
             c(&self.requests),
             c(&self.shed),
             c(&self.retries),
@@ -419,6 +490,7 @@ impl Coordinator {
             c(&self.partial),
             c(&self.epoch_mismatch),
             c(&self.shard_failed),
+            connects,
             self.shards.len(),
             breakers.join(","),
             (repsim_obs::now_ns().saturating_sub(self.started_ns)) / 1_000_000,
@@ -483,6 +555,33 @@ impl CounterPair {
     }
 }
 
+/// The shard-bound part of one rank request. Each attempt renders it
+/// with an attempt id of its own.
+struct ShardRequest {
+    walk: String,
+    label: String,
+    value: String,
+    k: usize,
+    /// The request's remaining deadline when it was scattered.
+    deadline_ms: Option<u64>,
+}
+
+impl ShardRequest {
+    /// The newline-terminated request line for attempt `id`.
+    fn line(&self, id: u64) -> String {
+        let mut line = render_rank_request(
+            id,
+            &self.walk,
+            &self.label,
+            &self.value,
+            self.k,
+            self.deadline_ms,
+        );
+        line.push('\n');
+        line
+    }
+}
+
 /// The outcome one connection attempt reports to its shard gatherer.
 enum AttemptOutcome {
     Success(ShardSuccess),
@@ -494,7 +593,7 @@ enum AttemptOutcome {
 /// when the first exceeds the shard's observed p99.
 fn query_shard(
     shard: &Arc<ShardState>,
-    line: &str,
+    req: &Arc<ShardRequest>,
     deadline: Option<Instant>,
     counters: &GatherCounters,
 ) -> Result<ShardSuccess, String> {
@@ -562,8 +661,9 @@ fn query_shard(
                             first_attempt_at = Some(now);
                         }
                         spawn_attempt(
-                            replica.addr.clone(),
-                            line.to_owned(),
+                            Arc::clone(shard),
+                            replica_idx,
+                            Arc::clone(req),
                             attempt_deadline,
                             idx,
                             tx.clone(),
@@ -639,77 +739,153 @@ fn hedge_timeout(latency: &Histogram) -> Option<Duration> {
     Some(Duration::from_nanos(p99_ns.max(1_000_000))) // floor 1ms
 }
 
-/// One connection attempt on its own thread: connect, send, read one
-/// line, parse. Owns everything it touches so it may outlive the
-/// request that launched it (the send then just fails).
+/// One attempt on its own thread: send on a pooled or fresh connection,
+/// read one line, parse. Owns everything it touches so it may outlive
+/// the request that launched it (the send then just fails).
 fn spawn_attempt(
-    addr: String,
-    line: String,
+    shard: Arc<ShardState>,
+    replica: usize,
+    req: Arc<ShardRequest>,
     attempt_deadline: Instant,
     idx: usize,
     tx: mpsc::Sender<(usize, AttemptOutcome)>,
 ) {
     std::thread::spawn(move || {
-        let outcome = run_attempt(&addr, &line, attempt_deadline);
+        let outcome = run_attempt(&shard.replicas[replica], &req, attempt_deadline);
         let _ = tx.send((idx, outcome));
     });
 }
 
-fn run_attempt(addr: &str, line: &str, attempt_deadline: Instant) -> AttemptOutcome {
-    let stream = match TcpStream::connect(addr) {
-        Ok(s) => s,
-        Err(e) => return AttemptOutcome::Failed(format!("connect {addr}: {e}")),
+/// Runs one attempt against `replica`: an idle pooled connection if
+/// there is one, else a fresh connect. The connection goes back to the
+/// pool only after exactly one complete reply line carrying this
+/// attempt's id and nothing after it; a timeout, an I/O error, a parse
+/// error or a foreign id drops it. So a hedge loser, or an attempt
+/// abandoned at its deadline, never leaves a reply unread on a pooled
+/// connection.
+fn run_attempt(replica: &Replica, req: &ShardRequest, attempt_deadline: Instant) -> AttemptOutcome {
+    let addr = replica.addr.as_str();
+    let id = NEXT_ATTEMPT_ID.fetch_add(1, Ordering::Relaxed);
+    let line = req.line(id);
+    let mut pooled = replica.take_idle();
+    loop {
+        let reused = pooled.is_some();
+        let stream = match pooled.take() {
+            Some(stream) => stream,
+            None => match TcpStream::connect(addr) {
+                Ok(stream) => {
+                    stream.set_nodelay(true).ok();
+                    replica.connects.fetch_add(1, Ordering::Relaxed);
+                    CONNECTS.add(1);
+                    stream
+                }
+                Err(e) => return AttemptOutcome::Failed(format!("connect {addr}: {e}")),
+            },
+        };
+        let (reply, clean) = match exchange(&stream, &line, attempt_deadline, addr) {
+            Exchange::Reply { line, clean } => (line, clean),
+            // The replica closed a connection while it sat idle (it
+            // restarted or shut down): empty its pool and retry once on
+            // a fresh connection, which a dead replica refuses. The
+            // resend is safe because only `rank`, an idempotent read, is
+            // routed through the coordinator (`coord_line` rejects
+            // mutations).
+            Exchange::Closed(_) if reused => {
+                drop(replica.drain_idle());
+                continue;
+            }
+            Exchange::Closed(why) | Exchange::Failed(why) => return AttemptOutcome::Failed(why),
+        };
+        return match parse_shard_reply_with_id(&reply) {
+            Ok((echo, _)) if echo != Some(id) => {
+                AttemptOutcome::Failed(format!("{addr}: reply for attempt {echo:?}, not {id}"))
+            }
+            Ok((_, reply)) => {
+                if clean {
+                    replica.put_idle(stream);
+                }
+                match reply {
+                    ShardReply::Rank {
+                        tier,
+                        results,
+                        shard,
+                    } => AttemptOutcome::Success(ShardSuccess {
+                        tier,
+                        results,
+                        ident: shard,
+                    }),
+                    ShardReply::Error { code, message, .. } => {
+                        AttemptOutcome::Failed(format!("{addr}: {code}: {message}"))
+                    }
+                }
+            }
+            Err(e) => AttemptOutcome::Failed(format!("{addr}: {e}")),
+        };
+    }
+}
+
+/// How one request/reply exchange on a connection ended.
+enum Exchange {
+    /// One complete reply line; `clean` when no byte followed it.
+    Reply { line: String, clean: bool },
+    /// EOF or reset before any reply byte arrived.
+    Closed(String),
+    /// A timeout, or any other I/O failure.
+    Failed(String),
+}
+
+/// Sends `line` (newline included) on `stream` and reads one reply line
+/// before `attempt_deadline`.
+fn exchange(stream: &TcpStream, line: &str, attempt_deadline: Instant, addr: &str) -> Exchange {
+    let closed = |e: &std::io::Error| {
+        matches!(
+            e.kind(),
+            ErrorKind::ConnectionReset | ErrorKind::ConnectionAborted | ErrorKind::BrokenPipe
+        )
     };
-    stream.set_nodelay(true).ok();
     let budget = attempt_deadline.saturating_duration_since(Instant::now());
     if budget.is_zero() {
-        return AttemptOutcome::Failed(format!("deadline expired before sending to {addr}"));
+        return Exchange::Failed(format!("deadline expired before sending to {addr}"));
     }
     if stream.set_read_timeout(Some(budget)).is_err()
         || stream.set_write_timeout(Some(budget)).is_err()
     {
-        return AttemptOutcome::Failed(format!("cannot arm timeouts on {addr}"));
+        return Exchange::Failed(format!("cannot arm timeouts on {addr}"));
     }
-    let mut w = &stream;
-    if let Err(e) = w
-        .write_all(line.as_bytes())
-        .and_then(|()| w.write_all(b"\n"))
-        .and_then(|()| w.flush())
-    {
-        return AttemptOutcome::Failed(format!("send to {addr}: {e}"));
+    if let Err(e) = (&*stream).write_all(line.as_bytes()) {
+        let why = format!("send to {addr}: {e}");
+        return if closed(&e) {
+            Exchange::Closed(why)
+        } else {
+            Exchange::Failed(why)
+        };
     }
     let mut acc: Vec<u8> = Vec::new();
     let mut chunk = [0u8; 4096];
     loop {
         if let Some(pos) = acc.iter().position(|&b| b == b'\n') {
-            let text = String::from_utf8_lossy(&acc[..pos]);
-            return match parse_shard_reply(text.trim()) {
-                Ok(ShardReply::Rank {
-                    tier,
-                    results,
-                    shard,
-                }) => AttemptOutcome::Success(ShardSuccess {
-                    tier,
-                    results,
-                    ident: shard,
-                }),
-                Ok(ShardReply::Error { code, message, .. }) => {
-                    AttemptOutcome::Failed(format!("{addr}: {code}: {message}"))
-                }
-                Err(e) => AttemptOutcome::Failed(format!("{addr}: {e}")),
+            return Exchange::Reply {
+                line: String::from_utf8_lossy(&acc[..pos]).trim().to_owned(),
+                clean: pos + 1 == acc.len(),
             };
         }
         if Instant::now() >= attempt_deadline {
-            return AttemptOutcome::Failed(format!("read from {addr} timed out"));
+            return Exchange::Failed(format!("read from {addr} timed out"));
         }
-        match (&stream).read(&mut chunk) {
-            Ok(0) => return AttemptOutcome::Failed(format!("{addr} closed the connection")),
+        match (&*stream).read(&mut chunk) {
+            Ok(0) if acc.is_empty() => {
+                return Exchange::Closed(format!("{addr} closed the connection"))
+            }
+            Ok(0) => return Exchange::Failed(format!("{addr} closed the connection mid-reply")),
             Ok(got) => acc.extend_from_slice(&chunk[..got]),
             Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut
-                    || e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(e) => return AttemptOutcome::Failed(format!("read from {addr}: {e}")),
+                if e.kind() == ErrorKind::WouldBlock
+                    || e.kind() == ErrorKind::TimedOut
+                    || e.kind() == ErrorKind::Interrupted => {}
+            Err(e) if closed(&e) && acc.is_empty() => {
+                return Exchange::Closed(format!("read from {addr}: {e}"))
+            }
+            Err(e) => return Exchange::Failed(format!("read from {addr}: {e}")),
         }
     }
 }
@@ -732,20 +908,7 @@ fn run_coordinator_inner(
     shutdown: &AtomicBool,
 ) -> Result<CoordReport, ServeError> {
     let coord = Arc::new(Coordinator::new(cfg.clone()));
-    let listener = TcpListener::bind(&cfg.addr).map_err(|e| ServeError::Bind {
-        addr: cfg.addr.clone(),
-        message: e.to_string(),
-    })?;
-    let addr = listener.local_addr().map_err(|e| ServeError::Bind {
-        addr: cfg.addr.clone(),
-        message: e.to_string(),
-    })?;
-    listener
-        .set_nonblocking(true)
-        .map_err(|e| ServeError::Bind {
-            addr: cfg.addr.clone(),
-            message: e.to_string(),
-        })?;
+    let (listener, addr) = bind_listener(&cfg.addr)?;
     if let Some(pf) = &cfg.port_file {
         std::fs::write(pf, format!("{addr}\n")).map_err(|e| ServeError::PortFile {
             path: pf.clone(),
@@ -759,19 +922,10 @@ fn run_coordinator_inner(
     );
 
     std::thread::scope(|s| {
-        while !shutdown.load(Ordering::SeqCst) {
-            match listener.accept() {
-                Ok((stream, _)) => {
-                    stream.set_nodelay(true).ok();
-                    let coord = Arc::clone(&coord);
-                    s.spawn(move || coord_connection(stream, &coord, shutdown));
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(5));
-                }
-                Err(_) => std::thread::sleep(Duration::from_millis(5)),
-            }
-        }
+        accept_until_shutdown(&listener, shutdown, |stream| {
+            let coord = Arc::clone(&coord);
+            s.spawn(move || coord_connection(stream, &coord, shutdown));
+        });
     });
 
     Ok(CoordReport {
@@ -900,4 +1054,78 @@ fn write_line(mut stream: &TcpStream, line: &str) -> std::io::Result<()> {
     stream.write_all(line.as_bytes())?;
     stream.write_all(b"\n")?;
     stream.flush()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::io::BufRead as _;
+    use std::net::TcpListener;
+
+    /// A one-request fake shard: reads one rank line and answers an
+    /// empty band ranking stamped with `reply_id(sent_id)`.
+    fn fake_shard(reply_id: fn(u64) -> u64) -> (String, std::thread::JoinHandle<()>) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let shard = std::thread::spawn(move || {
+            let (stream, _) = listener.accept().unwrap();
+            let mut line = String::new();
+            std::io::BufReader::new(&stream)
+                .read_line(&mut line)
+                .unwrap();
+            let ReqId::Num(sent) = Request::parse(&line).unwrap().id().clone() else {
+                panic!("the forwarded request carries no numeric id: {line}");
+            };
+            let reply = format!(
+                "{{\"id\":{},\"ok\":true,\"tier\":\"exact\",\"results\":[],\
+                 \"shard\":{{\"id\":0,\"fingerprint\":\"0x1\",\"seq\":0}}}}\n",
+                reply_id(sent as u64)
+            );
+            (&stream).write_all(reply.as_bytes()).unwrap();
+            // Hold the connection open until the coordinator is done.
+            let _ = (&stream).read(&mut [0u8; 1]);
+        });
+        (addr, shard)
+    }
+
+    fn request() -> ShardRequest {
+        ShardRequest {
+            walk: "l0 l1".to_owned(),
+            label: "l0".to_owned(),
+            value: "v".to_owned(),
+            k: 3,
+            deadline_ms: None,
+        }
+    }
+
+    fn attempt(replica: &Replica) -> AttemptOutcome {
+        run_attempt(replica, &request(), Instant::now() + Duration::from_secs(5))
+    }
+
+    #[test]
+    fn an_echoed_attempt_id_succeeds_and_pools_the_connection() {
+        let (addr, shard) = fake_shard(|sent| sent);
+        let replica = Replica::new(addr, BreakerConfig::default());
+        assert!(matches!(attempt(&replica), AttemptOutcome::Success(_)));
+        assert_eq!(replica.connects.load(Ordering::Relaxed), 1);
+        let pooled = replica.take_idle();
+        assert!(pooled.is_some(), "a clean reply pools its connection");
+        drop(pooled);
+        shard.join().unwrap();
+    }
+
+    #[test]
+    fn a_foreign_attempt_id_fails_and_drops_the_connection() {
+        let (addr, shard) = fake_shard(|sent| sent + 1);
+        let replica = Replica::new(addr, BreakerConfig::default());
+        match attempt(&replica) {
+            AttemptOutcome::Failed(why) => assert!(why.contains("reply for attempt"), "{why}"),
+            AttemptOutcome::Success(_) => panic!("a reply with another id must not merge"),
+        }
+        assert!(
+            replica.take_idle().is_none(),
+            "a mismatched reply must not pool its connection"
+        );
+        shard.join().unwrap();
+    }
 }

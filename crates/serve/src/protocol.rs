@@ -309,8 +309,24 @@ pub enum ShardReply {
 /// without a shard identity (a non-shard server answered — never merge
 /// it). Tolerates trailing CR from CRLF framing.
 pub fn parse_shard_reply(line: &str) -> Result<ShardReply, String> {
+    parse_shard_reply_with_id(line).map(|(_, reply)| reply)
+}
+
+/// [`parse_shard_reply`] plus the attempt id the shard echoed, `None`
+/// when the line carries no non-negative integer `"id"`. The coordinator
+/// fails an attempt whose echo differs from the id it sent.
+pub(crate) fn parse_shard_reply_with_id(line: &str) -> Result<(Option<u64>, ShardReply), String> {
     let v = json::parse(line.trim_end_matches(['\r', '\n']))
         .map_err(|e| format!("shard reply: {e}"))?;
+    let id = v
+        .get("id")
+        .and_then(Json::as_num)
+        .filter(|n| *n >= 0.0 && n.fract() == 0.0 && *n < 1e15)
+        .map(|n| n as u64);
+    Ok((id, shard_reply(&v)?))
+}
+
+fn shard_reply(v: &Json) -> Result<ShardReply, String> {
     match v.get("ok") {
         Some(Json::Bool(true)) => {}
         Some(Json::Bool(false)) => {
@@ -398,9 +414,11 @@ pub fn parse_shard_reply(line: &str) -> Result<ShardReply, String> {
 }
 
 /// Renders the rank request line the coordinator forwards to a shard.
-/// The id is omitted on the hop — attempts are matched to responses by
-/// connection, one request per connection attempt.
+/// `id` is the coordinator's attempt id, not the client's: the shard
+/// echoes it, so a reply read off a reused connection is matched to the
+/// attempt that sent the request.
 pub(crate) fn render_rank_request(
+    id: u64,
     walk: &str,
     label: &str,
     value: &str,
@@ -408,7 +426,7 @@ pub(crate) fn render_rank_request(
     deadline_ms: Option<u64>,
 ) -> String {
     let mut out = format!(
-        "{{\"op\":\"rank\",\"walk\":\"{}\",\"label\":\"{}\",\"value\":\"{}\",\"k\":{k}",
+        "{{\"id\":{id},\"op\":\"rank\",\"walk\":\"{}\",\"label\":\"{}\",\"value\":\"{}\",\"k\":{k}",
         esc(walk),
         esc(label),
         esc(value)
@@ -885,6 +903,23 @@ mod tests {
         // CRLF framing is tolerated on otherwise-valid lines.
         let crlf = format!("{err}\r");
         assert!(parse_shard_reply(&crlf).is_ok());
+    }
+
+    #[test]
+    fn shard_echoes_the_attempt_id_of_the_forwarded_request() {
+        let line = render_rank_request(41, "a b", "a", "x", 3, Some(9));
+        let req = Request::parse(&line).unwrap();
+        assert_eq!(req.id(), &ReqId::Num(41.0));
+        let reply = Response::Error {
+            id: req.id().clone(),
+            error: ServiceError::Overloaded { retry_after_ms: 1 },
+        }
+        .to_json_line();
+        let (id, _) = parse_shard_reply_with_id(&reply).unwrap();
+        assert_eq!(id, Some(41));
+        let (id, _) =
+            parse_shard_reply_with_id(r#"{"id":"41","ok":false,"error":{"code":"c"}}"#).unwrap();
+        assert_eq!(id, None, "only an integer echo matches");
     }
 
     #[test]

@@ -10,10 +10,13 @@
 //!
 //! Shutdown (the `shutdown` op, or the caller's flag — the CLI wires
 //! SIGTERM/ctrl-c to it) is graceful: stop accepting, close the queue,
-//! drain queued work, join the workers, write a final snapshot.
+//! drain queued work, join the workers, write a final snapshot. The
+//! accept blocks, with a receive timeout that wakes it to check the
+//! flag (see `accept_until_shutdown`).
 
 use std::io::{Read as _, Write as _};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::os::fd::OwnedFd;
 use std::path::PathBuf;
 use std::sync::mpsc;
 
@@ -34,8 +37,12 @@ static STATS_STREAMS: CounterHandle = CounterHandle::new("repsim.serve.stats.str
 static STATS_LINES: CounterHandle = CounterHandle::new("repsim.serve.stats.lines");
 static JOURNAL_LINES: CounterHandle = CounterHandle::new("repsim.serve.stats.journal_lines");
 
-/// How long a blocked read waits before re-checking the shutdown flag.
-const POLL: Duration = Duration::from_millis(50);
+/// How long a blocked read or accept waits before re-checking the
+/// shutdown flag.
+pub(crate) const POLL: Duration = Duration::from_millis(50);
+
+/// Pause after a failed `accept` before trying again.
+const ACCEPT_BACKOFF: Duration = Duration::from_millis(5);
 
 /// Server tuning over and above [`ServiceConfig`].
 #[derive(Clone, Debug)]
@@ -204,20 +211,7 @@ fn run_inner(
         None => None,
     };
 
-    let listener = TcpListener::bind(&cfg.addr).map_err(|e| ServeError::Bind {
-        addr: cfg.addr.clone(),
-        message: e.to_string(),
-    })?;
-    let addr = listener.local_addr().map_err(|e| ServeError::Bind {
-        addr: cfg.addr.clone(),
-        message: e.to_string(),
-    })?;
-    listener
-        .set_nonblocking(true)
-        .map_err(|e| ServeError::Bind {
-            addr: cfg.addr.clone(),
-            message: e.to_string(),
-        })?;
+    let (listener, addr) = bind_listener(&cfg.addr)?;
     if let Some(pf) = &cfg.port_file {
         std::fs::write(pf, format!("{addr}\n")).map_err(|e| ServeError::PortFile {
             path: pf.clone(),
@@ -244,25 +238,11 @@ fn run_inner(
             s.spawn(move || journal_loop(&path, svc, queue, shutdown, interval_ms));
         }
 
-        // Accept loop: non-blocking with a short poll so the shutdown
-        // flag is honoured promptly even with no clients.
-        while !shutdown.load(Ordering::SeqCst) {
-            match listener.accept() {
-                Ok((stream, _)) => {
-                    // Request/response lines are small; without nodelay
-                    // Nagle + delayed ACK cost ~40ms per round trip.
-                    stream.set_nodelay(true).ok();
-                    let svc = &svc;
-                    let queue = &queue;
-                    let snapshot = cfg.snapshot.as_deref();
-                    s.spawn(move || serve_connection(stream, svc, queue, shutdown, snapshot));
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(5));
-                }
-                Err(_) => std::thread::sleep(Duration::from_millis(5)),
-            }
-        }
+        let (svc, queue) = (&svc, &queue);
+        let snapshot = cfg.snapshot.as_deref();
+        accept_until_shutdown(&listener, shutdown, |stream| {
+            s.spawn(move || serve_connection(stream, svc, queue, shutdown, snapshot));
+        });
         // Graceful drain: no new work, queued requests still answer.
         queue.close();
     });
@@ -291,6 +271,53 @@ fn run_inner(
         requests: stats.requests,
         shed: stats.shed,
     })
+}
+
+/// Binds `addr` for [`accept_until_shutdown`] and returns the address
+/// actually bound. The listening socket gets a receive timeout of
+/// [`POLL`], which Linux applies to `accept`. std has no timeout setter
+/// on a listener, so a duplicate of its descriptor, viewed as a stream,
+/// sets the option on the same socket.
+pub(crate) fn bind_listener(addr: &str) -> Result<(TcpListener, SocketAddr), ServeError> {
+    let bind_err = |e: std::io::Error| ServeError::Bind {
+        addr: addr.to_owned(),
+        message: e.to_string(),
+    };
+    let listener = TcpListener::bind(addr).map_err(bind_err)?;
+    let bound = listener.local_addr().map_err(bind_err)?;
+    let alias = TcpStream::from(OwnedFd::from(listener.try_clone().map_err(bind_err)?));
+    alias.set_read_timeout(Some(POLL)).map_err(bind_err)?;
+    Ok((listener, bound))
+}
+
+/// Blocks in `accept` until `shutdown` is set, handing every client
+/// connection (nodelay already set) to `on_accept`. A client is taken
+/// the moment it connects; with none, the receive timeout armed by
+/// [`bind_listener`] wakes the call every [`POLL`] to check the flag,
+/// however it was set: a signal handler, the `shutdown` op or the
+/// embedding caller.
+pub(crate) fn accept_until_shutdown(
+    listener: &TcpListener,
+    shutdown: &AtomicBool,
+    mut on_accept: impl FnMut(TcpStream),
+) {
+    while !shutdown.load(Ordering::SeqCst) {
+        match listener.accept() {
+            Ok((stream, _)) => {
+                // Request/response lines are small; without nodelay
+                // Nagle + delayed ACK cost ~40ms per round trip.
+                stream.set_nodelay(true).ok();
+                on_accept(stream);
+            }
+            // The timeout: go round and check the flag.
+            Err(e)
+                if e.kind() == std::io::ErrorKind::WouldBlock
+                    || e.kind() == std::io::ErrorKind::TimedOut
+                    || e.kind() == std::io::ErrorKind::Interrupted => {}
+            // EMFILE and the like: back off instead of spinning.
+            Err(_) => std::thread::sleep(ACCEPT_BACKOFF),
+        }
+    }
 }
 
 /// One stats+metrics line: the [`crate::protocol::StatsBody`] plus a

@@ -437,3 +437,244 @@ fn whole_shard_down_degrades_to_exact_partial_coverage() {
     });
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// The coordinator's `stats` counters, as the `coord` object.
+fn coord_stats(coord_addr: &str) -> repsim_obs::json::Json {
+    let reply = client_roundtrip(coord_addr, &[r#"{"op":"stats"}"#.to_owned()]).expect("stats");
+    let v = repsim_obs::json::parse(&reply[0]).expect("stats line is JSON");
+    v.get("coord").cloned().expect("coordinator stats object")
+}
+
+fn coord_count(stats: &repsim_obs::json::Json, field: &str) -> u64 {
+    stats
+        .get(field)
+        .and_then(repsim_obs::json::Json::as_num)
+        .unwrap_or_else(|| panic!("coordinator stats lack {field}")) as u64
+}
+
+/// Boots a 2-shard × 1-replica fleet of `fixture_graph` behind a
+/// coordinator inside `s`; returns the shard and coordinator addresses.
+fn boot_fleet<'scope>(
+    s: &'scope std::thread::Scope<'scope, '_>,
+    g: &'scope Graph,
+    dir: &Path,
+    cfgs: &'scope [ServeConfig],
+    downs: &'scope [AtomicBool],
+    coord_down: &'scope AtomicBool,
+) -> (Vec<String>, String) {
+    for (cfg, down) in cfgs.iter().zip(downs) {
+        s.spawn(move || {
+            let _ = run(g, cfg, down);
+        });
+    }
+    let addrs: Vec<String> = (0..cfgs.len())
+        .map(|i| wait_addr(&dir.join(format!("s{i}.port"))))
+        .collect();
+    let coord_cfg = CoordConfig {
+        shards: addrs.iter().map(|a| vec![a.clone()]).collect(),
+        port_file: Some(dir.join("coord.port")),
+        ..CoordConfig::default()
+    };
+    s.spawn(move || {
+        let _ = run_coordinator(&coord_cfg, coord_down);
+    });
+    (addrs, wait_addr(&dir.join("coord.port")))
+}
+
+/// Sets every flag when dropped, so a failed assertion inside a fleet's
+/// scope stops its servers instead of hanging the test.
+struct StopOnDrop<'a>(Vec<&'a AtomicBool>);
+
+impl Drop for StopOnDrop<'_> {
+    fn drop(&mut self) {
+        for down in &self.0 {
+            down.store(true, Ordering::SeqCst);
+        }
+    }
+}
+
+fn two_shard_cfgs(dir: &Path) -> Vec<ServeConfig> {
+    (0..2)
+        .map(|i| {
+            serve_cfg(
+                dir,
+                &format!("s{i}"),
+                Some(ShardSpec { index: i, count: 2 }),
+            )
+        })
+        .collect()
+}
+
+/// A healthy fleet reuses its shard connections: 200 ranks through a
+/// 2-shard × 1-replica fleet open one connection per replica (plus one
+/// per hedge at most), not one per attempt.
+#[test]
+fn healthy_fleet_reuses_one_connection_per_replica() {
+    let g = fixture_graph();
+    let dir = tmp_dir("reuse");
+    let cfgs = two_shard_cfgs(&dir);
+    let downs: Vec<AtomicBool> = (0..2).map(|_| AtomicBool::new(false)).collect();
+    let coord_down = AtomicBool::new(false);
+
+    std::thread::scope(|s| {
+        let _stop = StopOnDrop(downs.iter().chain([&coord_down]).collect());
+        let (_, coord_addr) = boot_fleet(s, &g, &dir, &cfgs, &downs, &coord_down);
+        let lines: Vec<String> = (0..200)
+            .map(|i| {
+                format!(
+                    r#"{{"id":{i},"walk":"l0 l1","label":"l0","value":"v0_{}","k":4}}"#,
+                    i % 4
+                )
+            })
+            .collect();
+        let replies = client_roundtrip(&coord_addr, &lines).expect("roundtrip");
+        assert_eq!(replies.len(), 200);
+        for reply in &replies {
+            assert!(reply.contains(r#""tier":"exact""#), "{reply}");
+        }
+        let stats = coord_stats(&coord_addr);
+        let connects = coord_count(&stats, "connects");
+        let hedges = coord_count(&stats, "hedges");
+        assert!(
+            connects <= 2 + hedges,
+            "{connects} connects for 200 ranks over 2 replicas ({hedges} hedges)"
+        );
+    });
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A shard that restarts on the same port leaves a stale connection in
+/// the coordinator's pool. The next rank must notice it (EOF before any
+/// reply byte), reconnect once and answer `exact`, without counting a
+/// retry or tripping the replica's breaker.
+#[test]
+fn restarted_shard_is_reached_through_one_fresh_connection() {
+    let g = fixture_graph();
+    let dir = tmp_dir("restart");
+    let cfgs = two_shard_cfgs(&dir);
+    let downs: Vec<AtomicBool> = (0..2).map(|_| AtomicBool::new(false)).collect();
+    let coord_down = AtomicBool::new(false);
+    let restart_down = AtomicBool::new(false);
+
+    std::thread::scope(|s| {
+        let _stop = StopOnDrop(downs.iter().chain([&coord_down, &restart_down]).collect());
+        let (addrs, coord_addr) = boot_fleet(s, &g, &dir, &cfgs, &downs, &coord_down);
+        let line = r#"{"id":1,"walk":"l0 l1","label":"l0","value":"v0_0","k":4}"#.to_owned();
+        let first = client_roundtrip(&coord_addr, std::slice::from_ref(&line)).expect("rank");
+        let before = coord_stats(&coord_addr);
+
+        downs[1].store(true, Ordering::SeqCst);
+        wait_dead(&addrs[1]);
+        let cfg = ServeConfig {
+            addr: addrs[1].clone(),
+            ..serve_cfg(&dir, "s1-restart", Some(ShardSpec { index: 1, count: 2 }))
+        };
+        let (g, restart_down) = (&g, &restart_down);
+        s.spawn(move || run(g, &cfg, restart_down).expect("restart binds the same port"));
+        assert_eq!(wait_addr(&dir.join("s1-restart.port")), addrs[1]);
+
+        let again = client_roundtrip(&coord_addr, std::slice::from_ref(&line)).expect("rank");
+        assert!(again[0].contains(r#""tier":"exact""#), "{}", again[0]);
+        assert_eq!(again, first, "the restarted shard answers as before");
+        let after = coord_stats(&coord_addr);
+        assert_eq!(
+            coord_count(&after, "retries"),
+            coord_count(&before, "retries"),
+            "a stale pooled connection is not a replica failure"
+        );
+        assert_eq!(
+            coord_count(&after, "connects"),
+            coord_count(&before, "connects") + 1
+        );
+        let closed = repsim_obs::json::parse(r#"[["closed"],["closed"]]"#).expect("JSON");
+        assert_eq!(after.get("breakers"), Some(&closed), "breakers stay closed");
+    });
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Sets `down` and reports whether the thread behind `handle` returned
+/// within a second. On a miss, a connect to `addr` unblocks a stuck
+/// accept, so the test fails instead of hanging its scope.
+fn stops_promptly<T>(
+    down: &AtomicBool,
+    addr: &str,
+    handle: &std::thread::ScopedJoinHandle<'_, T>,
+) -> bool {
+    down.store(true, Ordering::SeqCst);
+    let set = std::time::Instant::now();
+    while !handle.is_finished() {
+        if set.elapsed() > Duration::from_secs(1) {
+            let _ = std::net::TcpStream::connect(addr);
+            return false;
+        }
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    true
+}
+
+/// The accept loops block, so shutdown depends on the accept timeout
+/// waking them: `run` and `run_coordinator` must return within 1 s of an
+/// external store to the flag, both when no client ever connected and
+/// while the coordinator still holds an idle pooled connection to the
+/// shard.
+#[test]
+fn blocking_accept_still_shuts_down_promptly() {
+    let g = fixture_graph();
+    let dir = tmp_dir("prompt");
+    let cfg = serve_cfg(&dir, "s0", Some(ShardSpec { index: 0, count: 1 }));
+    let downs: Vec<AtomicBool> = (0..4).map(|_| AtomicBool::new(false)).collect();
+
+    std::thread::scope(|s| {
+        let _stop = StopOnDrop(downs[..2].iter().collect());
+        let g = &g;
+        // No client ever connects.
+        let shard = s.spawn(|| run(g, &cfg, &downs[0]));
+        let shard_addr = wait_addr(&dir.join("s0.port"));
+        let idle_cfg = CoordConfig {
+            shards: vec![vec![shard_addr.clone()]],
+            port_file: Some(dir.join("idle.port")),
+            ..CoordConfig::default()
+        };
+        let down = &downs[1];
+        let idle = s.spawn(move || run_coordinator(&idle_cfg, down));
+        let idle_addr = wait_addr(&dir.join("idle.port"));
+        let stopped = [
+            stops_promptly(&downs[1], &idle_addr, &idle),
+            stops_promptly(&downs[0], &shard_addr, &shard),
+        ];
+        assert_eq!(stopped, [true; 2], "[coordinator, shard] with no client");
+    });
+
+    let cfg = ServeConfig {
+        port_file: Some(dir.join("s1.port")),
+        ..cfg
+    };
+    std::thread::scope(|s| {
+        let _stop = StopOnDrop(downs[2..].iter().collect());
+        let g = &g;
+        // One rank leaves a pooled coordinator→shard connection open.
+        let shard = s.spawn(|| run(g, &cfg, &downs[2]));
+        let shard_addr = wait_addr(&dir.join("s1.port"));
+        let coord_cfg = CoordConfig {
+            shards: vec![vec![shard_addr.clone()]],
+            port_file: Some(dir.join("coord.port")),
+            ..CoordConfig::default()
+        };
+        let down = &downs[3];
+        let coord = s.spawn(move || run_coordinator(&coord_cfg, down));
+        let coord_addr = wait_addr(&dir.join("coord.port"));
+        let line = r#"{"id":1,"walk":"l0 l1","label":"l0","value":"v0_0","k":4}"#.to_owned();
+        let reply = client_roundtrip(&coord_addr, &[line]).expect("rank");
+        assert!(reply[0].contains(r#""tier":"exact""#), "{}", reply[0]);
+        assert_eq!(coord_count(&coord_stats(&coord_addr), "connects"), 1);
+        let stopped = [
+            stops_promptly(&downs[2], &shard_addr, &shard),
+            stops_promptly(&downs[3], &coord_addr, &coord),
+        ];
+        assert_eq!(
+            stopped, [true; 2],
+            "[shard, coordinator] with a pooled connection"
+        );
+    });
+    let _ = std::fs::remove_dir_all(&dir);
+}

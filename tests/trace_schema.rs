@@ -475,10 +475,11 @@ fn sharded_serving_pins_coordinator_names() {
     let counters = section_keys("counters");
     let histograms = section_keys("histograms");
 
-    // Pinned counters the scenario must move: admission, the partial
-    // merge and the shard-failure path.
+    // Pinned counters the scenario must move: admission, fresh shard
+    // connections, the partial merge and the shard-failure path.
     for counter in [
         "repsim.serve.coord.requests",
+        "repsim.serve.coord.connects",
         "repsim.serve.coord.partial",
         "repsim.serve.coord.shard_failed",
     ] {
