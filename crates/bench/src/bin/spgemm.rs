@@ -6,12 +6,9 @@
 //! ```text
 //! cargo run --release -p repsim-bench --bin spgemm -- \
 //!     [--scale tiny|small|paper] [--threads 1,2,4,8] [--reps 3] [-o FILE] \
-//!     [--accumulator adaptive|dense|sparse] [--compact-csr auto|off|on] \
 //!     [--check BASELINE.json] [--tolerance 0.20]
 //! ```
 //!
-//! `--accumulator` / `--compact-csr` force the numeric-phase policy knobs
-//! (default: adaptive selection and automatic operand compaction).
 //! `--check` compares the serial numeric ns/flop of this run against the
 //! `serial_numeric_ns_per_flop` field of a previously committed baseline
 //! JSON and exits non-zero on a regression beyond `--tolerance`
@@ -30,7 +27,7 @@ use repsim_graph::biadjacency::biadjacency;
 use repsim_metawalk::commuting::informative_commuting_with;
 use repsim_metawalk::MetaWalk;
 use repsim_sparse::chain::{plan_chain, ChainStats};
-use repsim_sparse::{Accumulator, CompactMode, Parallelism};
+use repsim_sparse::Parallelism;
 
 /// The benched meta-walk: three citation hops, each needing the
 /// informative diagonal correction — the heaviest commuting build the
@@ -43,8 +40,6 @@ fn main() {
     let mut out = "BENCH_spgemm.json".to_owned();
     let mut reps = 3usize;
     let mut threads_arg: Option<String> = None;
-    let mut accumulator = "adaptive".to_owned();
-    let mut compact = "auto".to_owned();
     let mut check: Option<String> = None;
     let mut tolerance = 0.20f64;
     let mut it = argv.iter();
@@ -59,8 +54,6 @@ fn main() {
             "--out" | "-o" => out = take("--out"),
             "--reps" => reps = take("--reps").parse().expect("--reps expects a number"),
             "--threads" => threads_arg = Some(take("--threads")),
-            "--accumulator" => accumulator = take("--accumulator"),
-            "--compact-csr" => compact = take("--compact-csr"),
             "--check" => check = Some(take("--check")),
             "--tolerance" => {
                 tolerance = take("--tolerance")
@@ -70,19 +63,6 @@ fn main() {
             other => panic!("unknown argument {other:?}"),
         }
     }
-    repsim_sparse::set_accumulator(match accumulator.as_str() {
-        "adaptive" => Accumulator::Adaptive,
-        "dense" => Accumulator::Dense,
-        "sparse" => Accumulator::Sparse,
-        other => panic!("unknown accumulator {other:?} (adaptive|dense|sparse)"),
-    });
-    repsim_sparse::set_compact_mode(match compact.as_str() {
-        "auto" => CompactMode::Auto,
-        "off" => CompactMode::Off,
-        "on" => CompactMode::On,
-        other => panic!("unknown compact-csr mode {other:?} (auto|off|on)"),
-    });
-
     let cfg = match scale.as_str() {
         "tiny" => CitationConfig::tiny(),
         "small" => CitationConfig::small(),
@@ -130,20 +110,15 @@ fn main() {
     let flop_hist = repsim_obs::Registry::global().histogram("repsim.sparse.spgemm.flops");
     let dense_rows =
         repsim_obs::Registry::global().counter("repsim.sparse.spgemm.numeric.dense_rows");
-    let sparse_rows =
-        repsim_obs::Registry::global().counter("repsim.sparse.spgemm.numeric.sparse_rows");
     let tile_count =
         repsim_obs::Registry::global().counter("repsim.sparse.spgemm.numeric.tile_count");
 
     // Reference build: serial, correctness anchor for the sweep. The
-    // accumulator-routing counters are sampled over exactly this build.
-    let (kr0, ks0, kt0) = (dense_rows.get(), sparse_rows.get(), tile_count.get());
+    // accumulator's row and tile counters are sampled over exactly this
+    // build.
+    let (kr0, kt0) = (dense_rows.get(), tile_count.get());
     let serial = informative_commuting_with(&g, &mw, Parallelism::serial());
-    let kernel_rows = (
-        dense_rows.get() - kr0,
-        sparse_rows.get() - ks0,
-        tile_count.get() - kt0,
-    );
+    let kernel_rows = (dense_rows.get() - kr0, tile_count.get() - kt0);
     let mut sweep = Vec::new();
     let mut all_match = true;
     for &t in &threads {
@@ -234,8 +209,6 @@ fn main() {
     json.push_str("{\n");
     json.push_str(&format!("  \"scale\": \"{scale}\",\n"));
     json.push_str("  \"dataset\": \"citations-dblp\",\n");
-    json.push_str(&format!("  \"accumulator\": \"{accumulator}\",\n"));
-    json.push_str(&format!("  \"compact_csr\": \"{compact}\",\n"));
     json.push_str(&format!("  \"meta_walk\": \"{WALK}\",\n"));
     json.push_str(&format!("  \"papers\": {},\n", cfg.papers));
     json.push_str(&format!("  \"result_nnz\": {},\n", serial.nnz()));
@@ -248,8 +221,7 @@ fn main() {
     json.push_str(&format!("  \"available_threads\": {available},\n"));
     json.push_str("  \"kernel\": {\n");
     json.push_str(&format!("    \"dense_rows\": {},\n", kernel_rows.0));
-    json.push_str(&format!("    \"sparse_rows\": {},\n", kernel_rows.1));
-    json.push_str(&format!("    \"tile_count\": {}\n", kernel_rows.2));
+    json.push_str(&format!("    \"tile_count\": {}\n", kernel_rows.1));
     json.push_str("  },\n");
     json.push_str("  \"sweep\": [\n");
     for (i, &(t, best, mean, symbolic, numeric, flops, sym_npf, num_npf, best_npf)) in

@@ -584,9 +584,9 @@ fn profile_mutate_leg(
 /// sink — a cold commuting-cache miss (commuting build → SpGEMM chain),
 /// a warm repeat hit, then the query-engine build and ranking — and
 /// prints the resulting span tree plus the metrics table. `--kernel`
-/// appends a numeric-phase breakdown: how many output rows the adaptive
-/// accumulator routed to the dense tiled path vs the sparse hash path,
-/// and how many column tiles the dense path actually visited. `--mutate`
+/// appends a numeric-phase breakdown: how many output rows the dense
+/// accumulator computed and how many column tiles it actually visited.
+/// `--mutate`
 /// appends a mutation leg — WAL append, cache eviction and rebuild,
 /// replay from disk, and a ranking over the mutated graph that must
 /// match the original.
@@ -738,25 +738,9 @@ pub fn profile(args: &Args) -> Result<String, CliError> {
         // no SpGEMM).
         let reg = repsim_obs::Registry::global();
         let dense = reg.counter("repsim.sparse.spgemm.numeric.dense_rows").get();
-        let sparse = reg
-            .counter("repsim.sparse.spgemm.numeric.sparse_rows")
-            .get();
         let tiles = reg.counter("repsim.sparse.spgemm.numeric.tile_count").get();
-        let rows = dense + sparse;
-        let pct = |n: u64| {
-            if rows == 0 {
-                0.0
-            } else {
-                100.0 * n as f64 / rows as f64
-            }
-        };
         out.push_str("\nkernel (numeric phase):\n");
-        let _ = writeln!(out, "  dense-tiled rows  {dense:>12}  ({:.1}%)", pct(dense));
-        let _ = writeln!(
-            out,
-            "  sparse-hash rows  {sparse:>12}  ({:.1}%)",
-            pct(sparse)
-        );
+        let _ = writeln!(out, "  dense-tiled rows  {dense:>12}");
         let _ = writeln!(out, "  tiles visited     {tiles:>12}");
         if dense > 0 {
             let _ = writeln!(

@@ -208,7 +208,7 @@ COMMANDS:
                                         tree + metrics table; with --snapshot,
                                         also time a snapshot save + reload;
                                         --kernel adds the SpGEMM numeric-phase
-                                        dense/sparse row and tile breakdown;
+                                        row and tile counts;
                                         --mutate adds a WAL append + replay +
                                         cache-eviction + re-rank leg
   serve        FILE [--addr HOST:PORT] [--snapshot FILE] [--wal FILE]
@@ -339,24 +339,20 @@ mod tests {
             "{out}"
         );
         assert!(out.contains("repsim.metawalk.cache.hit"), "{out}");
-        // --kernel leg: the numeric-phase routing breakdown is present and
-        // the cold build routed at least one row through an accumulator.
+        // --kernel leg: the numeric-phase row and tile breakdown is present
+        // and the cold build routed at least one row through the
+        // accumulator.
         assert!(out.contains("kernel (numeric phase):"), "{out}");
         assert!(out.contains("dense-tiled rows"), "{out}");
-        assert!(out.contains("sparse-hash rows"), "{out}");
         assert!(out.contains("tiles visited"), "{out}");
-        let routed: u64 = ["dense-tiled rows", "sparse-hash rows"]
-            .iter()
-            .map(|label| {
-                let line = out
-                    .lines()
-                    .find(|l| l.contains(label))
-                    .unwrap_or_else(|| panic!("missing {label}"));
-                line.split_whitespace()
-                    .find_map(|w| w.parse::<u64>().ok())
-                    .unwrap_or_else(|| panic!("no count in {line:?}"))
-            })
-            .sum();
+        let line = out
+            .lines()
+            .find(|l| l.contains("dense-tiled rows"))
+            .unwrap_or_else(|| panic!("missing dense-tiled rows"));
+        let routed: u64 = line
+            .split_whitespace()
+            .find_map(|w| w.parse::<u64>().ok())
+            .unwrap_or_else(|| panic!("no count in {line:?}"));
         assert!(routed > 0, "no rows routed through the kernel:\n{out}");
 
         // --trace-out writes one JSON object per line, closing with a

@@ -194,13 +194,12 @@ pub fn render_frame(line: &Json, source: &str, color: bool) -> String {
     }
 
     // SpGEMM kernel deltas: is the serving load actually building
-    // matrices, and how is the numeric phase routing rows?
+    // matrices, and how many rows and tiles is the numeric phase sweeping?
     out.push_str(&st.bold("spgemm (this interval)\n"));
     out.push_str(&format!(
-        "  calls +{}   dense rows +{}   sparse rows +{}   tiles +{}\n",
+        "  calls +{}   dense rows +{}   tiles +{}\n",
         d("repsim.sparse.spgemm.calls"),
         d("repsim.sparse.spgemm.numeric.dense_rows"),
-        d("repsim.sparse.spgemm.numeric.sparse_rows"),
         d("repsim.sparse.spgemm.numeric.tile_count"),
     ));
     let numeric = ["p50", "p99"]

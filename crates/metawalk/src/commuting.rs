@@ -672,7 +672,7 @@ mod tests {
     fn mid_numeric_abort_never_poisons_cache_failpoint() {
         // Like the SPGEMM_CANCEL case, but firing *inside* the numeric
         // phase — after the symbolic pass sized the output, while tiles
-        // and hash accumulators are mid-flight — so an abort there must
+        // are mid-flight — so an abort there must
         // also leave no cache entry and no reusable-scratch corruption.
         use repsim_sparse::budget::failpoints;
         let (g, _) = dblp();

@@ -64,7 +64,7 @@ use crate::protocol::{
     parse_shard_reply_with_id, render_rank_request, RankEntry, ReqId, Request, Response,
     ShardIdent, ShardReply,
 };
-use crate::server::{accept_until_shutdown, bind_listener, ServeError, POLL};
+use crate::server::{accept_until_shutdown, bind_listener, write_line, ServeError, POLL};
 
 static REQUESTS: CounterHandle = CounterHandle::new("repsim.serve.coord.requests");
 static SHED: CounterHandle = CounterHandle::new("repsim.serve.coord.shed");
@@ -1048,12 +1048,6 @@ fn coord_line(line: &str, coord: &Coordinator, shutdown: &AtomicBool) -> Option<
         },
     };
     Some(resp.to_json_line())
-}
-
-fn write_line(mut stream: &TcpStream, line: &str) -> std::io::Result<()> {
-    stream.write_all(line.as_bytes())?;
-    stream.write_all(b"\n")?;
-    stream.flush()
 }
 
 #[cfg(test)]

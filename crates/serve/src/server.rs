@@ -14,7 +14,7 @@
 //! accept blocks, with a receive timeout that wakes it to check the
 //! flag (see `accept_until_shutdown`).
 
-use std::io::{Read as _, Write as _};
+use std::io::{Read as _, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::fd::OwnedFd;
 use std::path::PathBuf;
@@ -679,10 +679,16 @@ fn shed_retry_hint(queue: &Bounded<Job>) -> u64 {
     10 + 5 * queue.depth() as u64
 }
 
-fn write_line(mut stream: &TcpStream, line: &str) -> std::io::Result<()> {
-    stream.write_all(line.as_bytes())?;
-    stream.write_all(b"\n")?;
-    stream.flush()
+/// Writes `line` and its terminating `\n` in a single `write`, so a
+/// `TCP_NODELAY` socket sends the reply as one segment and the reader
+/// never wakes on a line without its newline. Every reply the server,
+/// the coordinator and `client_roundtrip` send goes through here.
+pub(crate) fn write_line<W: Write>(mut out: W, line: &str) -> std::io::Result<()> {
+    let mut buf = Vec::with_capacity(line.len() + 1);
+    buf.extend_from_slice(line.as_bytes());
+    buf.push(b'\n');
+    out.write_all(&buf)?;
+    out.flush()
 }
 
 /// A one-shot client for scripts and CI: connects, sends each request
@@ -740,6 +746,35 @@ mod tests {
             b.edge(p, doms[*d]).unwrap();
         }
         b.build()
+    }
+
+    /// A writer that counts its `write` calls and keeps the bytes.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn write_line_sends_each_reply_in_one_write() {
+        let mut out = CountingWriter::default();
+        for (i, line) in [r#"{"id":1,"ok":true}"#, ""].iter().enumerate() {
+            write_line(&mut out, line).unwrap();
+            assert_eq!(out.writes, i + 1, "one write per reply");
+        }
+        assert_eq!(out.bytes, b"{\"id\":1,\"ok\":true}\n\n");
     }
 
     /// Boots a server on a free port, runs `f` against it, shuts down.

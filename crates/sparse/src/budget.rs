@@ -47,7 +47,7 @@ pub enum ExecError {
     },
     /// The cooperative cancellation flag was raised.
     Cancelled,
-    /// Operand shapes are incompatible for the requested operation.
+    /// The operands' shapes are incompatible for the requested operation.
     ShapeMismatch {
         /// The operation name (`"spmm"`, `"matvec"`, …).
         op: &'static str,

@@ -13,9 +13,8 @@
 //! The estimator is deliberately a function of the *sub-chain*, not of the
 //! association order, so the DP's size table is well-defined.
 
-use crate::accum::{SpgemmArena, COMPACT_CONVERT_COST, COMPACT_FLOP_DISCOUNT, COMPACT_MIN_REUSE};
+use crate::accum::SpgemmArena;
 use crate::budget::{failpoints, Budget, ExecError};
-use crate::compact::MAX_COMPACT_NCOLS;
 use crate::ops::try_spmm_with_budget_in;
 use crate::Csr;
 use repsim_obs::CounterHandle;
@@ -123,18 +122,7 @@ pub fn plan_chain(stats: &[ChainStats]) -> ChainPlan {
             for k in i..j {
                 // Gustavson flops of L·R ≈ nnz(L) · avg nnz per row of R.
                 let flops = est[i][k] * est[k + 1][j] / stats[k + 1].rows.max(1.0);
-                // Mirror the kernel's auto-compaction: a narrow right
-                // operand re-scanned often enough is streamed delta-encoded
-                // — cheaper per flop, plus a linear conversion pass.
-                let rnnz = est[k + 1][j];
-                let join = if stats[j].cols <= MAX_COMPACT_NCOLS as f64
-                    && flops >= COMPACT_MIN_REUSE * rnnz
-                {
-                    flops * COMPACT_FLOP_DISCOUNT + rnnz * COMPACT_CONVERT_COST
-                } else {
-                    flops
-                };
-                let total = cost[i][k] + cost[k + 1][j] + join;
+                let total = cost[i][k] + cost[k + 1][j] + flops;
                 if total <= best {
                     best = total;
                     best_k = k;

@@ -5,8 +5,7 @@
 //! indices as `u16` *deltas* from the previous column in the row (the
 //! first entry of a row is its delta from column 0). Values stay `f64`
 //! bit-for-bit — the representation is lossless, so a round trip through
-//! it is bit-identical, which is what lets the SpGEMM kernel stream a
-//! compacted operand and still produce output equal to the plain kernel.
+//! it is bit-identical.
 //!
 //! Eligibility is a property of the shape: every column must fit a
 //! `u16` delta (`ncols <= 65_536`; deltas of a strictly increasing row
@@ -14,10 +13,9 @@
 //! pointers (`nnz <= u32::MAX`). [`CsrCompact::try_from_csr`] returns
 //! `None` otherwise, and callers fall back to the plain representation.
 //!
-//! Decode happens *on the fly* in the kernel inner loops (a running
-//! prefix sum, one add per entry) — the compact form is never expanded
-//! to a plain CSR on the hot path. `binio` persists it as a versioned
-//! record type so snapshots of eligible matrices shrink too.
+//! The form exists for storage: `binio` persists it as a versioned
+//! record type so snapshots of eligible matrices shrink. Kernels read
+//! the plain [`Csr`] it expands back into.
 
 use crate::csr::Csr;
 
@@ -237,8 +235,8 @@ impl CsrCompact {
         self.row_ptr.len() * 4 + self.col_delta.len() * 2 + self.values.len() * 8
     }
 
-    /// The raw parts `(row_ptr, col_delta, values)` — the kernel's
-    /// zero-copy view for on-the-fly decode.
+    /// The raw parts `(row_ptr, col_delta, values)` — the record
+    /// encoder's zero-copy view.
     pub(crate) fn raw(&self) -> (&[u32], &[u16], &[f64]) {
         (&self.row_ptr, &self.col_delta, &self.values)
     }
@@ -249,7 +247,7 @@ impl CsrCompact {
     /// first entry of a row decodes to a duplicate column, which
     /// [`CsrCompact::try_to_csr`] rejects — but decodability (every
     /// prefix sum lands inside the shape) is, so a hostile record
-    /// cannot reach the kernels' on-the-fly decode loops.
+    /// cannot make the expansion index out of bounds.
     pub fn try_from_raw(
         nrows: usize,
         ncols: usize,

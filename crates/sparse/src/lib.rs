@@ -52,10 +52,7 @@ pub mod par;
 pub mod parallelism;
 pub mod vector;
 
-pub use accum::{
-    accumulator, compact_mode, set_accumulator, set_compact_mode, Accumulator, CompactMode,
-    SpgemmArena,
-};
+pub use accum::SpgemmArena;
 pub use binio::{checksum, DecodeError};
 pub use budget::{Budget, ExecError};
 pub use compact::{CompactInvariant, CsrCompact};

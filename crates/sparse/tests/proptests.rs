@@ -4,7 +4,10 @@
 //! 2. `spmm_par` is bit-identical to `spmm` across thread counts;
 //! 3. `spmm_chain` is invariant under the DP's association order versus a
 //!    blind left fold (exact, because generated values are small integers
-//!    and integer f64 arithmetic is associative below 2^53).
+//!    and integer f64 arithmetic is associative below 2^53);
+//! 4. both modes of the dense accumulator, tiled and wide, carry the dense
+//!    reference's exact bits on fractional values at every output width
+//!    and thread count.
 
 // Tests may panic freely: the workspace panic-freedom lints target
 // library code, not assertions.
@@ -19,9 +22,7 @@ use proptest::prelude::*;
 use repsim_sparse::chain::{spmm_chain_with_threads, try_spmm_chain_with_budget};
 use repsim_sparse::ops::{spmm, spmm_chain, try_spmm_with_budget};
 use repsim_sparse::par::spmm_par;
-use repsim_sparse::{
-    set_accumulator, set_compact_mode, Accumulator, Budget, CompactMode, Csr, CsrCompact, ExecError,
-};
+use repsim_sparse::{Budget, Csr, CsrCompact, ExecError};
 
 /// Raw triplet material: positions are reduced modulo the actual matrix
 /// dimensions, values map to non-zero integers in `-6..=6` so cancellation
@@ -46,14 +47,16 @@ fn build(nrows: usize, ncols: usize, raw: &[(usize, usize, u32)]) -> Csr {
 }
 
 /// Naive reference: every output cell as an explicit ascending-k sum over
-/// the shared dimension, canonicalized through `from_triplets`.
+/// the shared dimension of the dense expansions, canonicalized through
+/// `from_triplets`.
 fn dense_reference(a: &Csr, b: &Csr) -> Csr {
+    let (a, b) = (a.to_dense(), b.to_dense());
     let mut trips = Vec::new();
     for r in 0..a.nrows() {
         for c in 0..b.ncols() {
             let mut sum = 0.0;
             for k in 0..a.ncols() {
-                sum += a.get(r, k) * b.get(k, c);
+                sum += a[(r, k)] * b[(k, c)];
             }
             if sum != 0.0 {
                 trips.push((r as u32, c as u32, sum));
@@ -178,53 +181,6 @@ proptest! {
         }
     }
 
-    // Accumulator policy must never show through: whether a row runs the
-    // tiled-dense path, the hash-sparse path, or the adaptive mix, and
-    // whether the right operand is delta-compacted or plain, the output
-    // must be bit-identical to the dense reference at every thread count.
-    // (The policy knobs are process-global atomics; every policy yields
-    // the same bits, so concurrently running tests are unaffected.)
-    #[test]
-    fn forced_accumulators_bit_identical_across_threads(
-        nrows in 1..40usize,
-        inner in 1..16usize,
-        ncols in 1..16usize,
-        raw_a in triplets(),
-        raw_b in triplets(),
-    ) {
-        let a = build(nrows, inner, &raw_a);
-        let b = build(inner, ncols, &raw_b);
-        let reference = dense_reference(&a, &b);
-        for policy in [Accumulator::Dense, Accumulator::Sparse, Accumulator::Adaptive] {
-            for mode in [CompactMode::Off, CompactMode::On] {
-                set_accumulator(policy);
-                set_compact_mode(mode);
-                for threads in [1usize, 3, 8] {
-                    let got = spmm_par(&a, &b, threads);
-                    set_accumulator(Accumulator::Adaptive);
-                    set_compact_mode(CompactMode::Auto);
-                    prop_assert_eq!(
-                        &got, &reference,
-                        "policy={:?} compact={:?} threads={}", policy, mode, threads
-                    );
-                    // Bit-level check on top of Eq: identical raw f64 bits.
-                    for r in 0..got.nrows() {
-                        let (gc, gv) = got.row(r);
-                        let (rc, rv) = reference.row(r);
-                        prop_assert_eq!(gc, rc);
-                        for (x, y) in gv.iter().zip(rv) {
-                            prop_assert_eq!(x.to_bits(), y.to_bits());
-                        }
-                    }
-                    set_accumulator(policy);
-                    set_compact_mode(mode);
-                }
-            }
-        }
-        set_accumulator(Accumulator::Adaptive);
-        set_compact_mode(CompactMode::Auto);
-    }
-
     // The succinct CSR is lossless on every matrix narrow enough to
     // qualify: expansion restores the exact bits (including negative
     // zeros), and re-compacting the expansion reproduces the encoding.
@@ -278,6 +234,92 @@ proptest! {
                 "unexpected error {:?}",
                 e
             ),
+        }
+    }
+}
+
+/// Output widths on both sides of every switch in the dense accumulator:
+/// narrow rows, the 2048-column tile edge, several tiles, and both sides
+/// of the 32768-column wide-mode cap (beyond it every row tiles).
+fn accumulator_widths() -> impl Strategy<Value = usize> {
+    prop_oneof![
+        1..64usize,
+        2040..2060usize,
+        5000..9000usize,
+        32760..32780usize,
+        32780..40000usize,
+    ]
+}
+
+/// A deterministic `nrows × ncols` matrix whose rows hold between
+/// `per_row / 2` and `per_row` entries. Half of them land on a few hot
+/// columns at the edges of the tiles and of the wide window, so output
+/// columns collect several products; the rest spread over every column.
+/// Values are `±1/d` fractions, so those column sums round differently
+/// under any summation order other than ascending `k`.
+fn spread(nrows: usize, ncols: usize, per_row: usize, seed: u64) -> Csr {
+    let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+    let mut next = move || {
+        state = state
+            .wrapping_mul(6_364_136_223_846_793_005)
+            .wrapping_add(1_442_695_040_888_963_407);
+        state >> 17
+    };
+    let hot: Vec<usize> = [0, 2047, 2048, 32767, ncols - 1]
+        .into_iter()
+        .filter(|&c| c < ncols)
+        .collect();
+    let mut trips = Vec::new();
+    for r in 0..nrows {
+        let len = per_row / 2 + (next() as usize) % (per_row / 2 + 1);
+        for _ in 0..len {
+            let pick = next() as usize;
+            let c = if pick & 1 == 0 {
+                hot[(pick >> 1) % hot.len()]
+            } else {
+                (pick >> 1) % ncols
+            };
+            let d = next();
+            let sign = if d & 1 == 0 { 1.0 } else { -1.0 };
+            trips.push((r as u32, c as u32, sign / ((d >> 1) % 29 + 1) as f64));
+        }
+    }
+    Csr::from_triplets(nrows, ncols, trips)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    // Every row of every product goes through the one dense accumulator,
+    // tiled or wide by the row's shape. Whichever mode a row takes, and
+    // however the rows are banded over threads, the output must carry the
+    // dense reference's exact bits. Short `b` rows under a wide output
+    // take the wide mode; long ones, and every row wider than the cap,
+    // take the tiled mode, resuming cursors across tiles. The long-row
+    // class pushes `nnz(b)` past the kernel's serial cutoff, so rows are
+    // really split into bands.
+    #[test]
+    fn dense_accumulator_modes_bit_identical_across_threads(
+        nrows in 1..12usize,
+        inner in 1..=12usize,
+        ncols in accumulator_widths(),
+        per_row in prop_oneof![0..8usize, 8..80usize, 1000..2000usize],
+        seed in 0..u64::MAX,
+    ) {
+        let a = spread(nrows, inner, inner, seed);
+        let b = spread(inner, ncols, per_row, seed ^ 0x5EED);
+        let reference = dense_reference(&a, &b);
+        for threads in [1usize, 3, 8] {
+            let got = spmm_par(&a, &b, threads);
+            prop_assert_eq!(&got, &reference, "threads={}", threads);
+            for r in 0..got.nrows() {
+                let (gc, gv) = got.row(r);
+                let (rc, rv) = reference.row(r);
+                prop_assert_eq!(gc, rc);
+                for (x, y) in gv.iter().zip(rv) {
+                    prop_assert_eq!(x.to_bits(), y.to_bits(), "threads={} row {}", threads, r);
+                }
+            }
         }
     }
 }

@@ -44,6 +44,9 @@ use repsim_serve::{
 use repsim_sparse::par::shard_band;
 use repsim_sparse::{checksum, Budget, Parallelism};
 
+mod common;
+use common::StopOnDrop;
+
 /// A small random 3-layer graph (l0 — l1 — l2), the shape every
 /// meta-walk in these tests traverses.
 #[derive(Debug, Clone)]
@@ -357,6 +360,7 @@ fn whole_shard_down_degrades_to_exact_partial_coverage() {
     let coord_down = AtomicBool::new(false);
 
     std::thread::scope(|s| {
+        let _stop = StopOnDrop(downs.iter().chain([&coord_down]).collect());
         let g = &g;
         let coord_down = &coord_down;
         for (cfg, down) in cfgs.iter().zip(&downs) {
@@ -432,8 +436,6 @@ fn whole_shard_down_degrades_to_exact_partial_coverage() {
             "typed floor: {}",
             none[0]
         );
-
-        coord_down.store(true, Ordering::SeqCst);
     });
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -479,18 +481,6 @@ fn boot_fleet<'scope>(
         let _ = run_coordinator(&coord_cfg, coord_down);
     });
     (addrs, wait_addr(&dir.join("coord.port")))
-}
-
-/// Sets every flag when dropped, so a failed assertion inside a fleet's
-/// scope stops its servers instead of hanging the test.
-struct StopOnDrop<'a>(Vec<&'a AtomicBool>);
-
-impl Drop for StopOnDrop<'_> {
-    fn drop(&mut self) {
-        for down in &self.0 {
-            down.store(true, Ordering::SeqCst);
-        }
-    }
 }
 
 fn two_shard_cfgs(dir: &Path) -> Vec<ServeConfig> {

@@ -15,6 +15,9 @@
 
 use repsim_obs::json::{self, Json};
 
+mod common;
+use common::StopOnDrop;
+
 /// Split a command line on whitespace; `~` inside a token stands for a
 /// space (meta-walks are space-separated label lists).
 fn run(cmd: &str) -> String {
@@ -415,6 +418,7 @@ fn sharded_serving_pins_coordinator_names() {
     };
 
     std::thread::scope(|s| {
+        let _stop = StopOnDrop(shard_down.iter().chain([&coord_down]).collect());
         let g = &g;
         let coord_down = &coord_down;
         for (cfg, down) in shard_cfgs.iter().zip(&shard_down) {
@@ -457,9 +461,6 @@ fn sharded_serving_pins_coordinator_names() {
             "{}",
             partial[0]
         );
-
-        shard_down[0].store(true, Ordering::SeqCst);
-        coord_down.store(true, Ordering::SeqCst);
     });
     repsim_obs::remove_sink(&sink);
 
