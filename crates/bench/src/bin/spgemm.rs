@@ -1,7 +1,7 @@
 //! SpGEMM benchmark binary: times informative commuting-matrix builds
-//! across a thread sweep and reports the chain plan the DP chose, writing
-//! machine-readable results to `BENCH_spgemm.json` (CI uploads it as an
-//! artifact; the `paper` scale is the headline speedup measurement).
+//! across a thread sweep and reports the chain plans the build evaluated,
+//! writing machine-readable results to `BENCH_spgemm.json` (CI uploads it
+//! as an artifact; the `paper` scale is the headline speedup measurement).
 //!
 //! ```text
 //! cargo run --release -p repsim-bench --bin spgemm -- \
@@ -23,10 +23,9 @@
 use std::time::Instant;
 
 use repsim_datasets::citations::{self, CitationConfig};
-use repsim_graph::biadjacency::biadjacency;
 use repsim_metawalk::commuting::informative_commuting_with;
 use repsim_metawalk::MetaWalk;
-use repsim_sparse::chain::{plan_chain, ChainStats};
+use repsim_obs::{AttrValue, EventKind};
 use repsim_sparse::Parallelism;
 
 /// The benched meta-walk: three citation hops, each needing the
@@ -89,15 +88,6 @@ fn main() {
         }
     };
 
-    // The raw biadjacency chain for the walk, to report what the DP picks.
-    let labels: Vec<_> = mw.steps().iter().map(|s| s.label()).collect();
-    let mats: Vec<_> = labels
-        .windows(2)
-        .map(|pair| biadjacency(&g, pair[0], pair[1]))
-        .collect();
-    let stats: Vec<ChainStats> = mats.iter().map(ChainStats::of).collect();
-    let plan = plan_chain(&stats);
-
     // Metrics-only observability: a NullSink flips recording on so the
     // SpGEMM kernel's per-phase histograms accumulate, without buffering
     // a trace. Timed builds pay the (sub-percent) recording overhead
@@ -115,10 +105,25 @@ fn main() {
 
     // Reference build: serial, correctness anchor for the sweep. The
     // accumulator's row and tile counters are sampled over exactly this
-    // build.
+    // build, and its `repsim.sparse.chain.plan` spans give the orders the
+    // build evaluates, one per chain product in completion order.
+    let collect = std::sync::Arc::new(repsim_obs::CollectSink::new());
+    let collect_sink: std::sync::Arc<dyn repsim_obs::Sink> = collect.clone();
+    repsim_obs::install(std::sync::Arc::clone(&collect_sink));
     let (kr0, kt0) = (dense_rows.get(), tile_count.get());
     let serial = informative_commuting_with(&g, &mw, Parallelism::serial());
     let kernel_rows = (dense_rows.get() - kr0, tile_count.get() - kt0);
+    repsim_obs::remove_sink(&collect_sink);
+    let plans: Vec<String> = collect
+        .events()
+        .iter()
+        .filter_map(|ev| match &ev.kind {
+            EventKind::SpanEnd { name, attrs, .. } if *name == "repsim.sparse.chain.plan" => {
+                Some(json_object(attrs))
+            }
+            _ => None,
+        })
+        .collect();
     let mut sweep = Vec::new();
     let mut all_match = true;
     for &t in &threads {
@@ -212,11 +217,10 @@ fn main() {
     json.push_str(&format!("  \"meta_walk\": \"{WALK}\",\n"));
     json.push_str(&format!("  \"papers\": {},\n", cfg.papers));
     json.push_str(&format!("  \"result_nnz\": {},\n", serial.nnz()));
-    json.push_str("  \"chain\": {\n");
-    json.push_str(&format!("    \"order\": \"{}\",\n", plan.order.render()));
-    json.push_str(&format!("    \"est_flops\": {:.1},\n", plan.est_flops));
-    json.push_str(&format!("    \"est_nnz\": {:.1}\n", plan.est_nnz));
-    json.push_str("  },\n");
+    json.push_str(&format!(
+        "  \"chain\": [\n    {}\n  ],\n",
+        plans.join(",\n    ")
+    ));
     json.push_str(&format!("  \"reps\": {reps},\n"));
     json.push_str(&format!("  \"available_threads\": {available},\n"));
     json.push_str("  \"kernel\": {\n");
@@ -272,6 +276,19 @@ fn main() {
         }
         println!("perf gate passed");
     }
+}
+
+/// Renders span attributes as one flat JSON object.
+fn json_object(attrs: &[(&str, AttrValue)]) -> String {
+    let fields: Vec<String> = attrs
+        .iter()
+        .map(|(k, v)| match v {
+            AttrValue::Str(s) => format!("\"{k}\": \"{s}\""),
+            AttrValue::F64(x) => format!("\"{k}\": {x:.1}"),
+            AttrValue::U64(x) => format!("\"{k}\": {x}"),
+        })
+        .collect();
+    format!("{{{}}}", fields.join(", "))
 }
 
 /// Pulls the number following `"key":` out of a flat JSON document. The

@@ -398,6 +398,20 @@ fn algorithm_spec(args: &Args) -> Result<AlgorithmSpec, CliError> {
     })
 }
 
+/// The half `p` of the symmetric walk `p·p⁻¹` that `cmd` was given, or
+/// an error naming the walk when it has none.
+fn half_walk(
+    mw: &repsim_metawalk::MetaWalk,
+    text: &str,
+    cmd: &str,
+) -> Result<repsim_metawalk::MetaWalk, CliError> {
+    mw.half().ok_or_else(|| {
+        CliError::Command(format!(
+            "{cmd} needs a symmetric meta-walk with an entity label at its midpoint, got {text:?}"
+        ))
+    })
+}
+
 /// Budget-aware execution of an `rpathsim` query: build through
 /// [`repsim_core::BudgetedRPathSim`] so a `--deadline-ms` / `--max-nnz`
 /// limit degrades the plan (half factorization, walk prefix) instead of
@@ -413,12 +427,7 @@ fn query_rpathsim_budgeted(
     use repsim_core::{BudgetedRPathSim, Degradation};
     let mw = repsim_metawalk::MetaWalk::parse_in(g, meta_walk)
         .ok_or_else(|| CliError::Command(format!("bad meta-walk {meta_walk:?}")))?;
-    if !mw.is_symmetric() {
-        return Err(CliError::Command(format!(
-            "rpathsim queries need a symmetric meta-walk, got {meta_walk:?}"
-        )));
-    }
-    let half = repsim_metawalk::MetaWalk::new(mw.steps()[..=mw.len() / 2].to_vec());
+    let half = half_walk(&mw, meta_walk, "rpathsim")?;
     let mut alg = BudgetedRPathSim::try_new(g, half, Default::default(), budget)
         .map_err(|e| CliError::Command(format!("budget exhausted: {e}")))?;
     let list = alg.rank(q, g.label_of(q), k);
@@ -600,12 +609,7 @@ pub fn profile(args: &Args) -> Result<String, CliError> {
     let k = args.get_usize("k", 10)?;
     let mw = repsim_metawalk::MetaWalk::parse_in(&g, meta_walk)
         .ok_or_else(|| CliError::Command(format!("bad meta-walk {meta_walk:?}")))?;
-    if !mw.is_symmetric() {
-        return Err(CliError::Command(format!(
-            "profile needs a symmetric meta-walk, got {meta_walk:?}"
-        )));
-    }
-    let half = repsim_metawalk::MetaWalk::new(mw.steps()[..=mw.len() / 2].to_vec());
+    let half = half_walk(&mw, meta_walk, "profile")?;
     let par = repsim_sparse::Parallelism::default();
     let budget = repsim_sparse::Budget::from_env();
 
@@ -1647,6 +1651,33 @@ mod tests {
             query_rpathsim_budgeted(&g, "film actor", q, 3, &roomy),
             Err(CliError::Command(_))
         ));
+    }
+
+    #[test]
+    fn walks_without_a_half_are_errors_that_name_the_walk() {
+        // A symmetric walk whose midpoint is the `cite` relationship has
+        // no half walk: both commands that halve a walk must say so, not
+        // panic.
+        let path = tmp("halfless.graph");
+        generate(&argv(&format!(
+            "--dataset citations-dblp --scale tiny --out {path}"
+        )))
+        .unwrap();
+        let walk = "paper cite paper cite paper cite paper";
+        let err = profile(&argv(&format!(
+            "{path} --meta-walk={} --query paper:paper000000 -k 3",
+            walk.replace(' ', "~")
+        )))
+        .unwrap_err();
+        assert!(matches!(err, CliError::Command(_)), "{err}");
+        assert!(err.to_string().contains(walk), "{err}");
+
+        let g = load(&path).unwrap();
+        let q = g.entity_by_name("paper", "paper000000").unwrap();
+        let roomy = repsim_sparse::Budget::unlimited().with_max_nnz(1 << 30);
+        let err = query_rpathsim_budgeted(&g, walk, q, 3, &roomy).unwrap_err();
+        assert!(matches!(err, CliError::Command(_)), "{err}");
+        assert!(err.to_string().contains(walk), "{err}");
     }
 
     #[test]

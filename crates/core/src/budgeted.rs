@@ -194,11 +194,10 @@ impl<'g> BudgetedRPathSim<'g> {
     /// [`Degradation::PrefixWalk`].
     pub fn effective_half(&self) -> MetaWalk {
         match &self.tier {
-            TierImpl::Full(rp) => {
-                // The closure is symmetric; its first half is the walk.
-                let steps = rp.meta_walk().steps();
-                MetaWalk::new(steps[..=steps.len() / 2].to_vec())
-            }
+            // The closure was built from a half walk, whose entity
+            // endpoint is the closure's midpoint.
+            #[allow(clippy::expect_used)]
+            TierImpl::Full(rp) => rp.meta_walk().half().expect("a symmetric closure halves"),
             TierImpl::Half(qe) => qe.half().clone(),
         }
     }

@@ -214,6 +214,26 @@ impl MetaWalk {
         self == &self.reversed()
     }
 
+    /// The half `p` of a symmetric closure `p·p⁻¹`: the steps up to and
+    /// including the midpoint. `None` when the walk is not symmetric, has
+    /// an even number of steps, or its midpoint is a relationship or
+    /// \*-label, which cannot end a meta-walk
+    /// (`paper cite paper cite paper cite paper` has `cite` there).
+    pub fn half(&self) -> Option<MetaWalk> {
+        let mid = self.steps.len() / 2;
+        let end = self.steps[mid];
+        if self.steps.len().is_multiple_of(2)
+            || !self.is_symmetric()
+            || !end.is_entity()
+            || end.is_star()
+        {
+            return None;
+        }
+        Some(MetaWalk {
+            steps: self.steps[..=mid].to_vec(),
+        })
+    }
+
     /// Whether every entity label's nearest entity labels differ from it —
     /// the hypothesis of Theorem 4.2 under which plain PathSim is already
     /// representation independent.
@@ -318,6 +338,26 @@ mod tests {
         assert_eq!(s, p.symmetric_closure());
         assert!(s.is_symmetric());
         assert!(!p.is_symmetric());
+    }
+
+    #[test]
+    fn half_inverts_the_symmetric_closure() {
+        let ls = labels();
+        let p = MetaWalk::parse(&ls, "conf paper dom").unwrap();
+        assert_eq!(p.symmetric_closure().half(), Some(p.clone()));
+        assert_eq!(p.half(), None, "not symmetric");
+        let paper = MetaWalk::parse(&ls, "paper").unwrap();
+        assert_eq!(paper.half(), Some(paper.clone()));
+        for text in [
+            "paper cite paper cite paper cite paper",
+            "conf *paper conf",
+            "paper cite cite paper",
+            "paper paper",
+        ] {
+            let mw = MetaWalk::parse(&ls, text).unwrap();
+            assert!(mw.is_symmetric());
+            assert_eq!(mw.half(), None, "{text}");
+        }
     }
 
     #[test]

@@ -271,8 +271,9 @@ fn drain_tile(
 }
 
 /// Reusable SpGEMM scratch: per-worker accumulators plus the shared
-/// per-product arrays (symbolic bounds, prefix sums, flop weights,
-/// per-row entry counts, and the output staging buffers).
+/// per-product arrays (symbolic bounds, prefix sums, flop weights and
+/// per-row entry counts). The output itself is no scratch: the numeric
+/// phase writes straight into the result's arrays.
 ///
 /// One arena serves an entire chain of products — `chain::eval` threads
 /// it through every join, so a 6-factor commuting build performs one
@@ -287,14 +288,6 @@ pub struct SpgemmArena {
     pub(crate) bound_ptr: Vec<usize>,
     pub(crate) row_flops: Vec<u64>,
     pub(crate) count: Vec<usize>,
-    /// Numeric-phase output staging: rows are written at their symbolic
-    /// bound offsets here, then compacted into exact-size vectors in
-    /// phase 3. Grown to the high-water product size once per chain, so
-    /// repeated products skip both the allocation and the zero-fill a
-    /// fresh `vec![0; total]` would pay.
-    pub(crate) out_cols: Vec<u32>,
-    /// Value staging parallel to `out_cols`.
-    pub(crate) out_vals: Vec<f64>,
 }
 
 impl SpgemmArena {

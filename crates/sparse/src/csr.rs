@@ -373,6 +373,13 @@ impl Csr {
         (&self.row_ptr, &self.col_idx, &self.values)
     }
 
+    /// Allocated capacities of the column and value arrays, so tests can
+    /// check that a kernel returns no slack.
+    #[cfg(test)]
+    pub(crate) fn capacities(&self) -> (usize, usize) {
+        (self.col_idx.capacity(), self.values.capacity())
+    }
+
     /// The value at `(r, c)`, zero if not stored.
     pub fn get(&self, r: usize, c: usize) -> f64 {
         let (cols, vals) = self.row(r);

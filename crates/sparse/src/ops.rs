@@ -85,11 +85,10 @@ pub fn try_spmm_with_budget(
 /// [`try_spmm_with_budget`] with caller-provided scratch.
 ///
 /// The arena holds every transient the product needs — per-worker
-/// accumulators, symbolic bounds, flop weights, and output staging — so
-/// a chain of joins driven through one arena performs one scratch
-/// allocation per worker for the whole chain. Flop-balanced banding
-/// happens here; output is bit-identical for every thread count (see
-/// [`crate::accum`]).
+/// accumulators, symbolic bounds and flop weights — so a chain of joins
+/// driven through one arena performs one scratch allocation per worker
+/// for the whole chain. Flop-balanced banding happens here; output is
+/// bit-identical for every thread count (see [`crate::accum`]).
 pub fn try_spmm_with_budget_in(
     a: &Csr,
     b: &Csr,
@@ -202,8 +201,6 @@ fn spgemm_phases(
         bound_ptr,
         row_flops,
         count,
-        out_cols,
-        out_vals,
     } = arena;
     let workers = &mut workers[..bands.len()];
     let row_flops: &[u64] = row_flops;
@@ -282,21 +279,17 @@ fn spgemm_phases(
         0
     };
     let numeric_span = repsim_obs::span("repsim.sparse.spgemm.numeric");
-    // Stage rows at their bound offsets in the arena buffers — grown to
-    // the chain's high-water size once, then reused without the zero-fill
-    // a fresh allocation would pay. Phase 3 copies the exact entries out.
-    if out_cols.len() < total {
-        out_cols.resize(total, 0);
-    }
-    if out_vals.len() < total {
-        out_vals.resize(total, 0.0);
-    }
+    // The result's own arrays at the symbolic size. `vec![0; n]` takes
+    // zeroed pages from the allocator, so they fault in during the banded
+    // writes below instead of in a serial fill here.
+    let mut col_idx = vec![0u32; total];
+    let mut values = vec![0.0f64; total];
     count.clear();
     count.resize(nrows, 0);
     let mut tallies = vec![NumericTally::default(); bands.len()];
     {
-        let mut col_rest = &mut out_cols[..total];
-        let mut val_rest = &mut out_vals[..total];
+        let mut col_rest = col_idx.as_mut_slice();
+        let mut val_rest = values.as_mut_slice();
         let mut cnt_rest = count.as_mut_slice();
         let mut err_rest = errs.as_mut_slice();
         let mut tally_rest = tallies.as_mut_slice();
@@ -367,35 +360,29 @@ fn spgemm_phases(
         tally.absorb(*t);
     }
 
-    // Phase 3 — compact: copy the staged rows out of the arena into
-    // exact-size vectors, closing any cancellation gaps. Contiguous runs
-    // of gap-free rows are coalesced into single memcpys.
+    // Phase 3 — close cancellation gaps in place. Walk counts never
+    // cancel, so for them every row fills its bound and nothing moves;
+    // a row of a mixed-sign product may fall short, and every later row
+    // then shifts left over the gap. Rows only move left, so
+    // `copy_within` never overwrites an entry that has yet to move.
     let mut row_ptr = Vec::with_capacity(nrows + 1);
     row_ptr.push(0);
-    let mut nnz_out = 0usize;
-    // audit:allow(RA0101, prefix sum over per-row counts of the admitted product)
-    for &n in &count[..nrows] {
-        nnz_out += n;
-        row_ptr.push(nnz_out);
-    }
-    let mut col_idx = Vec::with_capacity(nnz_out);
-    let mut values = Vec::with_capacity(nnz_out);
-    let mut run_start = 0usize;
-    let mut run_len = 0usize;
-    // audit:allow(RA0101, memcpy compaction of entries already admitted by check_alloc)
+    let mut nnz = 0usize;
+    // audit:allow(RA0101, in-place compaction of entries already admitted by check_alloc)
     for (&src, &n) in bound_ptr[..nrows].iter().zip(&count[..nrows]) {
-        if src == run_start + run_len {
-            run_len += n;
-        } else {
-            col_idx.extend_from_slice(&out_cols[run_start..run_start + run_len]);
-            values.extend_from_slice(&out_vals[run_start..run_start + run_len]);
-            run_start = src;
-            run_len = n;
+        if src != nnz {
+            col_idx.copy_within(src..src + n, nnz);
+            values.copy_within(src..src + n, nnz);
         }
+        nnz += n;
+        row_ptr.push(nnz);
     }
-    col_idx.extend_from_slice(&out_cols[run_start..run_start + run_len]);
-    values.extend_from_slice(&out_vals[run_start..run_start + run_len]);
-    debug_assert_eq!(col_idx.len(), nnz_out);
+    if nnz < total {
+        col_idx.truncate(nnz);
+        col_idx.shrink_to_fit();
+        values.truncate(nnz);
+        values.shrink_to_fit();
+    }
     Ok((
         Csr::from_parts(nrows, ncols, row_ptr, col_idx, values),
         tally,
@@ -852,6 +839,23 @@ mod tests {
             let got = try_spmm_with_budget_in(&a, &b, 2, &Budget::unlimited(), &mut arena).unwrap();
             assert_eq!(got, spmm(&a, &b), "product {i}");
         }
+    }
+
+    #[test]
+    fn cancelled_product_is_shrunk_to_its_nnz() {
+        // Row 0 cancels to exact zero (1·1 − 1·1 in both columns), row 1
+        // keeps its two entries: the symbolic bound of 4 falls to 2, and
+        // the result must hold no capacity beyond its entries.
+        let a = Csr::from_triplets(2, 2, vec![(0, 0, 1.0), (0, 1, -1.0), (1, 0, 2.0)]);
+        let b = Csr::from_triplets(
+            2,
+            2,
+            vec![(0, 0, 1.0), (0, 1, 3.0), (1, 0, 1.0), (1, 1, 3.0)],
+        );
+        let c = spmm(&a, &b);
+        assert_eq!(c.nnz(), 2);
+        assert_eq!(c.row(1), (&[0u32, 1][..], &[2.0, 6.0][..]));
+        assert_eq!(c.capacities(), (2, 2));
     }
 
     #[test]

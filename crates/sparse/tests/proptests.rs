@@ -7,7 +7,10 @@
 //!    and integer f64 arithmetic is associative below 2^53);
 //! 4. both modes of the dense accumulator, tiled and wide, carry the dense
 //!    reference's exact bits on fractional values at every output width
-//!    and thread count.
+//!    and thread count;
+//! 5. rows that cancel to exact zero, wholly or in part, at the first and
+//!    last rows and at every band edge, leave a sound, gap-free result
+//!    equal to the dense reference at every thread count.
 
 // Tests may panic freely: the workspace panic-freedom lints target
 // library code, not assertions.
@@ -21,7 +24,7 @@
 use proptest::prelude::*;
 use repsim_sparse::chain::{spmm_chain_with_threads, try_spmm_chain_with_budget};
 use repsim_sparse::ops::{spmm, spmm_chain, try_spmm_with_budget};
-use repsim_sparse::par::spmm_par;
+use repsim_sparse::par::{spmm_par, weighted_chunks};
 use repsim_sparse::{Budget, Csr, CsrCompact, ExecError};
 
 /// Raw triplet material: positions are reduced modulo the actual matrix
@@ -251,6 +254,33 @@ fn accumulator_widths() -> impl Strategy<Value = usize> {
     ]
 }
 
+/// A small deterministic generator for the generated fixtures.
+struct Lcg(u64);
+
+impl Lcg {
+    fn next(&mut self) -> u64 {
+        self.0 = self
+            .0
+            .wrapping_mul(6_364_136_223_846_793_005)
+            .wrapping_add(1_442_695_040_888_963_407);
+        self.0 >> 17
+    }
+
+    fn below(&mut self, n: usize) -> usize {
+        self.next() as usize % n
+    }
+
+    /// A non-zero integer in `-4..=4`.
+    fn weight(&mut self) -> f64 {
+        let w = (self.below(4) + 1) as f64;
+        if self.next() & 1 == 0 {
+            w
+        } else {
+            -w
+        }
+    }
+}
+
 /// A deterministic `nrows × ncols` matrix whose rows hold between
 /// `per_row / 2` and `per_row` entries. Half of them land on a few hot
 /// columns at the edges of the tiles and of the wide window, so output
@@ -258,28 +288,22 @@ fn accumulator_widths() -> impl Strategy<Value = usize> {
 /// Values are `±1/d` fractions, so those column sums round differently
 /// under any summation order other than ascending `k`.
 fn spread(nrows: usize, ncols: usize, per_row: usize, seed: u64) -> Csr {
-    let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
-    let mut next = move || {
-        state = state
-            .wrapping_mul(6_364_136_223_846_793_005)
-            .wrapping_add(1_442_695_040_888_963_407);
-        state >> 17
-    };
+    let mut rng = Lcg(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1);
     let hot: Vec<usize> = [0, 2047, 2048, 32767, ncols - 1]
         .into_iter()
         .filter(|&c| c < ncols)
         .collect();
     let mut trips = Vec::new();
     for r in 0..nrows {
-        let len = per_row / 2 + (next() as usize) % (per_row / 2 + 1);
+        let len = per_row / 2 + (rng.next() as usize) % (per_row / 2 + 1);
         for _ in 0..len {
-            let pick = next() as usize;
+            let pick = rng.next() as usize;
             let c = if pick & 1 == 0 {
                 hot[(pick >> 1) % hot.len()]
             } else {
                 (pick >> 1) % ncols
             };
-            let d = next();
+            let d = rng.next();
             let sign = if d & 1 == 0 { 1.0 } else { -1.0 };
             trips.push((r as u32, c as u32, sign / ((d >> 1) % 29 + 1) as f64));
         }
@@ -311,6 +335,116 @@ proptest! {
         let reference = dense_reference(&a, &b);
         for threads in [1usize, 3, 8] {
             let got = spmm_par(&a, &b, threads);
+            prop_assert_eq!(&got, &reference, "threads={}", threads);
+            for r in 0..got.nrows() {
+                let (gc, gv) = got.row(r);
+                let (rc, rv) = reference.row(r);
+                prop_assert_eq!(gc, rc);
+                for (x, y) in gv.iter().zip(rv) {
+                    prop_assert_eq!(x.to_bits(), y.to_bits(), "threads={} row {}", threads, r);
+                }
+            }
+        }
+    }
+}
+
+/// `2 · pairs` rows of exactly `width` entries each. The rows of pair `p`
+/// agree on `shared[p]` columns (same column, same value) and are
+/// disjoint elsewhere, so `v·b[2p] − v·b[2p+1]` cancels to exact zero on
+/// the shared columns: wholly when `shared[p] == width`.
+fn twin_rows(ncols: usize, width: usize, shared: &[usize], rng: &mut Lcg) -> Csr {
+    let mut trips = Vec::new();
+    let mut perm: Vec<u32> = (0..ncols as u32).collect();
+    for (p, &s) in shared.iter().enumerate() {
+        // A fresh partial shuffle picks 2·width − s distinct columns.
+        for i in 0..2 * width - s {
+            let j = i + rng.below(ncols - i);
+            perm.swap(i, j);
+        }
+        let (even, odd) = ((2 * p) as u32, (2 * p + 1) as u32);
+        for &c in &perm[..s] {
+            let w = rng.weight();
+            trips.push((even, c, w));
+            trips.push((odd, c, w));
+        }
+        for &c in &perm[s..width] {
+            trips.push((even, c, rng.weight()));
+        }
+        for &c in &perm[width..2 * width - s] {
+            trips.push((odd, c, rng.weight()));
+        }
+    }
+    Csr::from_triplets(2 * shared.len(), ncols, trips)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    // Mixed-sign products whose rows cancel to exact zero, wholly or in
+    // part. Every `a` row holds two entries and every `b` row `width`, so
+    // all rows weigh the same flops and the kernel's bands are the ones
+    // `weighted_chunks` gives for uniform weights. Each band's first and
+    // last rows (the matrix's first and last among them) cancel at every
+    // thread count, and one more row cancels wholly. `nnz(b)` is past the
+    // kernel's serial cutoff, so rows are really split into bands and the
+    // gaps they leave are closed across band boundaries.
+    #[test]
+    fn cancelled_rows_leave_no_gaps(
+        nrows in 1..48usize,
+        pairs in 4..10usize,
+        width in 512..700usize,
+        extra in 0..2000usize,
+        seed in 0..u64::MAX,
+    ) {
+        let mut rng = Lcg(seed | 1);
+        let ncols = 2 * width + extra;
+        // Pair 0 cancels wholly, pair 1 in part, the rest at random.
+        let mut shared = vec![width, 1 + rng.below(width - 1)];
+        shared.extend((2..pairs).map(|_| rng.below(width + 1)));
+        let b = twin_rows(ncols, width, &shared, &mut rng);
+
+        let mut edges = vec![false; nrows];
+        for threads in [3usize, 8] {
+            for (lo, hi) in weighted_chunks(&vec![2 * width as u64; nrows], threads) {
+                edges[lo] = true;
+                edges[hi - 1] = true;
+            }
+        }
+        let whole_at = rng.below(nrows);
+        let mut trips = Vec::new();
+        for (r, &edge) in edges.iter().enumerate() {
+            let r32 = r as u32;
+            let v = rng.weight();
+            let pair = if r == whole_at {
+                Some(0)
+            } else if edge {
+                Some(rng.below(2))
+            } else if rng.next() & 1 == 0 {
+                Some(rng.below(pairs))
+            } else {
+                None
+            };
+            match pair {
+                Some(p) => {
+                    trips.push((r32, (2 * p) as u32, v));
+                    trips.push((r32, (2 * p + 1) as u32, -v));
+                }
+                None => {
+                    let k = rng.below(2 * pairs);
+                    let k2 = (k + 1 + rng.below(2 * pairs - 1)) % (2 * pairs);
+                    trips.push((r32, k as u32, v));
+                    trips.push((r32, k2 as u32, rng.weight()));
+                }
+            }
+        }
+        let a = Csr::from_triplets(nrows, 2 * pairs, trips);
+
+        let reference = dense_reference(&a, &b);
+        prop_assert_eq!(reference.row(whole_at).0.len(), 0);
+        for threads in [1usize, 3, 8] {
+            let got = spmm_par(&a, &b, threads);
+            prop_assert_eq!(got.validate(), Ok(()), "threads={}", threads);
+            prop_assert_eq!(got.nnz(), reference.nnz(), "threads={}", threads);
             prop_assert_eq!(&got, &reference, "threads={}", threads);
             for r in 0..got.nrows() {
                 let (gc, gv) = got.row(r);
