@@ -1,11 +1,13 @@
-//! Golden bytes and every crash point of the two framed logs: the
-//! mutation WAL (`RSIMWAL1`) and the traffic capture (`RSIMCAP1`).
+//! Golden bytes of the three on-disk formats, and every crash point of
+//! the two framed logs: the mutation WAL (`RSIMWAL1`), the traffic
+//! capture (`RSIMCAP1`) and the index snapshot (`RSIMSNAP`).
 //!
 //! `fixtures/golden/` holds one file of each, written from the fixed
 //! inputs below. Rebuilding them must reproduce those files byte for
-//! byte, so any change to the on-disk format shows up here first.
-//! Recovery is then checked at every truncation offset of each file, and
-//! the damage events and counters are pinned by name.
+//! byte, so any change to the on-disk format shows up here first. The
+//! snapshot must also restore every matrix bit for bit. Log recovery is
+//! then checked at every truncation offset of each log, and the damage
+//! events and counters are pinned by name.
 
 // Tests may panic freely: the workspace panic-freedom lints target
 // library code, not assertions.
@@ -22,9 +24,11 @@ use std::sync::Arc;
 
 use repsim_graph::mutation::{self, MutationOp};
 use repsim_graph::{Graph, GraphBuilder, NodeRef};
+use repsim_metawalk::commuting::{CacheKind, CommutingCache};
+use repsim_metawalk::MetaWalk;
 use repsim_obs::{CollectSink, EventKind, Registry, Sink};
 use repsim_serve::capture::{self, CaptureRecord, CaptureWriter};
-use repsim_serve::snapshot::graph_fingerprint;
+use repsim_serve::snapshot::{self, graph_fingerprint, LoadOutcome};
 use repsim_serve::wal::{Wal, WalRecord};
 use repsim_sparse::Budget;
 
@@ -32,6 +36,10 @@ const GOLDEN_WAL: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/fixtures/golden/m
 const GOLDEN_CAP: &str = concat!(
     env!("CARGO_MANIFEST_DIR"),
     "/fixtures/golden/traffic.rsimcap"
+);
+const GOLDEN_SNAP: &str = concat!(
+    env!("CARGO_MANIFEST_DIR"),
+    "/fixtures/golden/index.rsimsnap"
 );
 const HEADER_LEN: usize = 20;
 const CAPTURE_SEED: u64 = 0x5eed_cafe;
@@ -148,6 +156,42 @@ fn write_golden_capture(path: &Path) {
     w.finish().unwrap();
 }
 
+/// A graph with several rows per matrix, one film without actors (an
+/// empty row) and one actor shared by three films.
+fn index_graph() -> Graph {
+    let mut b = GraphBuilder::new();
+    let film = b.entity_label("film");
+    let actor = b.entity_label("actor");
+    let f: Vec<_> = (0..4).map(|i| b.entity(film, &format!("f{i}"))).collect();
+    let a: Vec<_> = (0..3).map(|i| b.entity(actor, &format!("a{i}"))).collect();
+    for (fi, ai) in [(0, 0), (0, 1), (1, 0), (2, 0), (2, 1), (2, 2)] {
+        b.edge(f[fi], a[ai]).unwrap();
+    }
+    b.build()
+}
+
+/// The entries the golden snapshot holds: square, rectangular, plain
+/// and *-label matrices.
+const SNAPSHOT_WALKS: [(CacheKind, &str); 5] = [
+    (CacheKind::Plain, "film actor film"),
+    (CacheKind::Informative, "film actor film"),
+    (CacheKind::Informative, "actor film actor"),
+    (CacheKind::Informative, "film actor"),
+    (CacheKind::Informative, "film *actor film"),
+];
+
+fn golden_cache(g: &Graph) -> CommutingCache {
+    let mut cache = CommutingCache::new();
+    for (kind, text) in SNAPSHOT_WALKS {
+        let mw = MetaWalk::parse_in(g, text).unwrap();
+        match kind {
+            CacheKind::Plain => cache.plain(g, &mw),
+            CacheKind::Informative => cache.informative(g, &mw),
+        };
+    }
+    cache
+}
+
 /// Byte offsets at which each record of a framed log ends, read from
 /// the `len: u32 LE` prefix every record carries.
 fn record_ends(bytes: &[u8]) -> Vec<usize> {
@@ -184,6 +228,13 @@ fn rebuilt_logs_match_the_golden_bytes() {
         std::fs::read(&cap).unwrap(),
         std::fs::read(GOLDEN_CAP).unwrap()
     );
+    let snap = dir.join("index.rsimsnap");
+    let g = index_graph();
+    snapshot::save(&snap, &g, &golden_cache(&g), &Budget::unlimited()).unwrap();
+    assert_eq!(
+        std::fs::read(&snap).unwrap(),
+        std::fs::read(GOLDEN_SNAP).unwrap()
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -205,6 +256,28 @@ fn golden_logs_recover_every_field() {
     assert_eq!(rec.seed, CAPTURE_SEED);
     assert_eq!(rec.records, golden_capture_records());
     assert!(!rec.torn_truncated && rec.quarantined_to.is_none());
+    let _ = std::fs::remove_dir_all(path.parent().unwrap());
+
+    // Every snapshot matrix comes back with the exact bits of a cold
+    // build.
+    let g = index_graph();
+    let cold = golden_cache(&g);
+    let path = copy_of(&std::fs::read(GOLDEN_SNAP).unwrap(), "index.rsimsnap");
+    let entries = match snapshot::load(&path, &g).unwrap() {
+        LoadOutcome::Restored(entries) => entries,
+        other => panic!("expected restore, got {other:?}"),
+    };
+    assert_eq!(entries.len(), SNAPSHOT_WALKS.len());
+    for (kind, mw, m) in &entries {
+        let want = cold.peek(*kind, mw).unwrap();
+        assert_eq!((m.nrows(), m.ncols()), (want.nrows(), want.ncols()));
+        for r in 0..want.nrows() {
+            let ((cm, vm), (cw, vw)) = (m.row(r), want.row(r));
+            assert_eq!(cm, cw, "{kind:?} {mw} row {r}");
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(vm), bits(vw), "{kind:?} {mw} row {r}");
+        }
+    }
     let _ = std::fs::remove_dir_all(path.parent().unwrap());
 }
 
