@@ -93,15 +93,15 @@ pub const REGISTRY: &[CodeSpec] = &[
         "RS0405",
         "consecutive chain factors have incompatible shapes",
     ),
-    active(
+    retired(
         "RS0406",
         "compact record row_ptr malformed or part lengths disagree",
     ),
-    active(
+    retired(
         "RS0407",
         "compact record column deltas decode out of bounds",
     ),
-    active(
+    retired(
         "RS0408",
         "compact record shape ineligible for u16/u32 narrowing",
     ),

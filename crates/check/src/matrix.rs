@@ -8,9 +8,6 @@
 //! | `RS0403` | error | a column index out of bounds |
 //! | `RS0404` | error | `row_ptr` end, column count and value count disagree |
 //! | `RS0405` | error | consecutive chain factors have incompatible shapes |
-//! | `RS0406` | error | compact record `row_ptr` malformed or part lengths disagree |
-//! | `RS0407` | error | compact record column deltas decode out of bounds |
-//! | `RS0408` | error | compact record shape ineligible for `u16`/`u32` narrowing |
 //!
 //! The text format mirrors the graph format's line discipline (`#`
 //! comments, one keyword per line):
@@ -23,20 +20,12 @@
 //! values 1 2 3
 //! ```
 //!
-//! A `col_delta` line in place of `col_idx` declares the succinct
-//! delta-encoded form ([`CsrCompact`]'s `.csrc` snapshot records): the
-//! compact invariants are checked first (`RS0406`–`RS0408`), then the
-//! record is expanded and the plain CSR invariants re-checked, so a
-//! compacted matrix passes through exactly the validation the kernels'
-//! on-the-fly decode relies on.
-//!
 //! Parsing is deliberately forgiving about *syntax* only; every structural
-//! property is delegated to [`Csr::try_from_parts`] (and
-//! [`CsrCompact::try_from_raw`] for compact records) so the diagnostics
+//! property is delegated to [`Csr::try_from_parts`] so the diagnostics
 //! here are exactly the invariants the kernels rely on (and the same
 //! [`CsrInvariant`] values the debug-mode assertion hooks would raise).
 
-use repsim_sparse::{CompactInvariant, Csr, CsrCompact, CsrInvariant};
+use repsim_sparse::{Csr, CsrInvariant};
 
 use crate::diagnostic::{Analyzer, Diagnostic};
 
@@ -50,18 +39,6 @@ pub fn invariant_diagnostic(name: &str, e: &CsrInvariant) -> Diagnostic {
         CsrInvariant::ColumnsNotSorted { .. } => "RS0402",
         CsrInvariant::ColumnOutOfBounds { .. } => "RS0403",
         CsrInvariant::NnzMismatch { .. } => "RS0404",
-    };
-    Diagnostic::error(code, Analyzer::Matrix, format!("{name}: {e}"))
-}
-
-/// Maps a violated *compact* invariant onto its stable code.
-pub fn compact_invariant_diagnostic(name: &str, e: &CompactInvariant) -> Diagnostic {
-    let code = match e {
-        CompactInvariant::RowPtrShape { .. }
-        | CompactInvariant::RowPtrNotMonotone { .. }
-        | CompactInvariant::PartsMismatch { .. } => "RS0406",
-        CompactInvariant::DeltaOutOfBounds { .. } => "RS0407",
-        CompactInvariant::Ineligible { .. } => "RS0408",
     };
     Diagnostic::error(code, Analyzer::Matrix, format!("{name}: {e}"))
 }
@@ -85,7 +62,6 @@ pub fn check_csr_text(name: &str, text: &str) -> (Option<Csr>, Vec<Diagnostic>) 
     let mut shape: Option<(usize, usize)> = None;
     let mut row_ptr: Option<Vec<usize>> = None;
     let mut col_idx: Option<Vec<u32>> = None;
-    let mut col_delta: Option<Vec<u64>> = None;
     let mut values: Option<Vec<f64>> = None;
     for (i, raw) in text.lines().enumerate() {
         let line = i + 1;
@@ -111,10 +87,6 @@ pub fn check_csr_text(name: &str, text: &str) -> (Option<Csr>, Vec<Diagnostic>) 
                 Ok(v) => col_idx = Some(v),
                 Err(_) => return syntax(line, "col_idx expects numbers".to_owned()),
             },
-            "col_delta" => match tokens.map(str::parse).collect() {
-                Ok(v) => col_delta = Some(v),
-                Err(_) => return syntax(line, "col_delta expects numbers".to_owned()),
-            },
             "values" => match tokens.map(str::parse).collect() {
                 Ok(v) => values = Some(v),
                 Err(_) => return syntax(line, "values expects numbers".to_owned()),
@@ -122,82 +94,16 @@ pub fn check_csr_text(name: &str, text: &str) -> (Option<Csr>, Vec<Diagnostic>) 
             other => return syntax(line, format!("unknown keyword {other:?}")),
         }
     }
-    let last_line = text.lines().count().max(1);
-    if col_idx.is_some() && col_delta.is_some() {
-        return syntax(
-            last_line,
-            "col_idx and col_delta are mutually exclusive".to_owned(),
-        );
-    }
-    let ((nrows, ncols), row_ptr, values) = match (shape, row_ptr, values) {
-        (Some(s), Some(r), Some(v)) => (s, r, v),
+    let ((nrows, ncols), row_ptr, col_idx, values) = match (shape, row_ptr, col_idx, values) {
+        (Some(s), Some(r), Some(c), Some(v)) => (s, r, c, v),
         _ => {
             return syntax(
-                last_line,
-                "missing section: shape, row_ptr, col_idx (or col_delta) and values \
-                 are all required"
-                    .to_owned(),
-            )
-        }
-    };
-    if let Some(deltas) = col_delta {
-        return check_compact_parts(name, nrows, ncols, row_ptr, deltas, values);
-    }
-    let col_idx = match col_idx {
-        Some(c) => c,
-        None => {
-            return syntax(
-                last_line,
-                "missing section: shape, row_ptr, col_idx (or col_delta) and values \
-                 are all required"
-                    .to_owned(),
+                text.lines().count().max(1),
+                "missing section: shape, row_ptr, col_idx and values are all required".to_owned(),
             )
         }
     };
     match Csr::try_from_parts(nrows, ncols, row_ptr, col_idx, values) {
-        Ok(m) => (Some(m), Vec::new()),
-        Err(e) => (None, vec![invariant_diagnostic(name, &e)]),
-    }
-}
-
-/// Validates a delta-encoded record: narrows the parsed integers into
-/// the compact layout (`RS0408` when they do not fit), checks the
-/// compact invariants (`RS0406`/`RS0407`), then expands and re-checks
-/// the plain CSR invariants so unsorted or duplicate decoded columns
-/// still surface as `RS0402`.
-fn check_compact_parts(
-    name: &str,
-    nrows: usize,
-    ncols: usize,
-    row_ptr: Vec<usize>,
-    deltas: Vec<u64>,
-    values: Vec<f64>,
-) -> (Option<Csr>, Vec<Diagnostic>) {
-    let narrow_err = |what: String| {
-        (
-            None,
-            vec![Diagnostic::error(
-                "RS0408",
-                Analyzer::Matrix,
-                format!("{name}: {what}"),
-            )],
-        )
-    };
-    let row_ptr32: Option<Vec<u32>> = row_ptr.iter().map(|&p| u32::try_from(p).ok()).collect();
-    let row_ptr32 = match row_ptr32 {
-        Some(r) => r,
-        None => return narrow_err("a row_ptr entry does not fit the u32 narrowing".to_owned()),
-    };
-    let deltas16: Option<Vec<u16>> = deltas.iter().map(|&d| u16::try_from(d).ok()).collect();
-    let deltas16 = match deltas16 {
-        Some(d) => d,
-        None => return narrow_err("a col_delta entry does not fit the u16 narrowing".to_owned()),
-    };
-    let compact = match CsrCompact::try_from_raw(nrows, ncols, row_ptr32, deltas16, values) {
-        Ok(c) => c,
-        Err(e) => return (None, vec![compact_invariant_diagnostic(name, &e)]),
-    };
-    match compact.try_to_csr() {
         Ok(m) => (Some(m), Vec::new()),
         Err(e) => (None, vec![invariant_diagnostic(name, &e)]),
     }
@@ -280,63 +186,6 @@ mod tests {
         // Value/column count disagreement -> RS0404.
         let (_, ds) = check_csr_text("m", "shape 2 3\nrow_ptr 0 2 3\ncol_idx 0 2 1\nvalues 1 2\n");
         assert_eq!(ds[0].code, "RS0404", "{ds:?}");
-    }
-
-    #[test]
-    fn compact_record_parses_and_expands() {
-        // Same matrix as SOUND, delta-encoded: row 0 = cols {0, 2},
-        // row 1 = col {1}.
-        let (m, ds) = check_csr_text(
-            "m",
-            "shape 2 3\nrow_ptr 0 2 3\ncol_delta 0 2 1\nvalues 1 2 3\n",
-        );
-        assert!(ds.is_empty(), "{ds:?}");
-        let (plain, _) = check_csr_text("m", SOUND);
-        assert_eq!(m, plain, "compact form must expand to the plain matrix");
-    }
-
-    #[test]
-    fn compact_invariants_have_their_codes() {
-        // row_ptr not ending at the delta count -> RS0406.
-        let (m, ds) = check_csr_text(
-            "m",
-            "shape 2 3\nrow_ptr 0 2 5\ncol_delta 0 2 1\nvalues 1 2 3\n",
-        );
-        assert!(m.is_none());
-        assert_eq!(ds[0].code, "RS0406", "{ds:?}");
-        // Decreasing row_ptr -> RS0406.
-        let (_, ds) = check_csr_text(
-            "m",
-            "shape 2 3\nrow_ptr 0 3 1\ncol_delta 0 2 1\nvalues 1 2 3\n",
-        );
-        assert_eq!(ds[0].code, "RS0406", "{ds:?}");
-        // Row 0 decodes past column 2 -> RS0407.
-        let (_, ds) = check_csr_text(
-            "m",
-            "shape 2 3\nrow_ptr 0 2 3\ncol_delta 0 9 1\nvalues 1 2 3\n",
-        );
-        assert_eq!(ds[0].code, "RS0407", "{ds:?}");
-        // Too many columns for u16 deltas -> RS0408.
-        let (_, ds) = check_csr_text("m", "shape 1 65537\nrow_ptr 0 1\ncol_delta 3\nvalues 1\n");
-        assert_eq!(ds[0].code, "RS0408", "{ds:?}");
-        // A delta literal that cannot narrow to u16 -> RS0408.
-        let (_, ds) = check_csr_text("m", "shape 1 3\nrow_ptr 0 1\ncol_delta 70000\nvalues 1\n");
-        assert_eq!(ds[0].code, "RS0408", "{ds:?}");
-        // A zero delta after the first entry decodes to a duplicate
-        // column, caught by the plain re-check -> RS0402.
-        let (_, ds) = check_csr_text("m", "shape 1 3\nrow_ptr 0 2\ncol_delta 1 0\nvalues 1 2\n");
-        assert_eq!(ds[0].code, "RS0402", "{ds:?}");
-    }
-
-    #[test]
-    fn mixed_column_sections_are_syntax_errors() {
-        let (m, ds) = check_csr_text(
-            "m",
-            "shape 2 3\nrow_ptr 0 2 3\ncol_idx 0 2 1\ncol_delta 0 2 1\nvalues 1 2 3\n",
-        );
-        assert!(m.is_none());
-        assert_eq!(ds[0].code, "RS0400");
-        assert!(ds[0].message.contains("mutually exclusive"), "{ds:?}");
     }
 
     #[test]

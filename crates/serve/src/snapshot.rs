@@ -16,12 +16,12 @@
 //!
 //! Each payload entry is `kind: u8` (0 = plain, 1 = informative),
 //! `walk_len: u64 LE`, the walk's UTF-8 text form, then the matrix in
-//! [`Csr::encode_auto_into`]'s layout — the succinct delta-encoded
-//! record when the matrix shape permits, the plain record otherwise;
-//! [`Csr::decode`] reads both, so snapshots written before the compact
-//! record existed keep loading. Walks persist as *text* and are
+//! [`Csr::encode_into`]'s layout. Walks persist as *text* and are
 //! re-parsed against the live graph on load, so label-id renumbering or
-//! schema drift is caught structurally, not trusted.
+//! schema drift is caught structurally, not trusted. An older version-1
+//! file whose matrices use the retired delta-encoded record fails the
+//! matrix decode and is quarantined like any corrupt file, so the index
+//! is rebuilt.
 //!
 //! **Save** is atomic: payload is built in memory, written to
 //! `<path>.tmp`, fsynced, renamed over `<path>`, and the parent
@@ -171,17 +171,22 @@ fn encode(g: &Graph, cache: &CommutingCache, graph_fp: u64) -> Vec<u8> {
         payload.push(*kind);
         payload.extend_from_slice(&(text.len() as u64).to_le_bytes());
         payload.extend_from_slice(text.as_bytes());
-        m.encode_auto_into(&mut payload);
+        m.encode_into(&mut payload);
     }
+    frame(graph_fp, entries.len(), &payload)
+}
 
+/// Prefixes `payload` with the header that stamps its length and
+/// checksum.
+fn frame(graph_fp: u64, entries: usize, payload: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(HEADER_LEN + payload.len());
     out.extend_from_slice(MAGIC);
     out.extend_from_slice(&VERSION.to_le_bytes());
     out.extend_from_slice(&graph_fp.to_le_bytes());
-    out.extend_from_slice(&(entries.len() as u64).to_le_bytes());
+    out.extend_from_slice(&(entries as u64).to_le_bytes());
     out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    out.extend_from_slice(&checksum(&payload).to_le_bytes());
-    out.extend_from_slice(&payload);
+    out.extend_from_slice(&checksum(payload).to_le_bytes());
+    out.extend_from_slice(payload);
     out
 }
 
@@ -340,8 +345,9 @@ fn validate_and_decode(bytes: &[u8], g: &Graph) -> Result<Vec<(CacheKind, MetaWa
         let walk_len = usize::try_from(le_u64(payload, pos))
             .map_err(|_| format!("entry {i}: implausible walk length"))?;
         pos += 8;
-        let text_bytes = payload
-            .get(pos..pos + walk_len)
+        let text_bytes = pos
+            .checked_add(walk_len)
+            .and_then(|end| payload.get(pos..end))
             .ok_or_else(|| format!("entry {i}: truncated walk text"))?;
         let text = std::str::from_utf8(text_bytes)
             .map_err(|_| format!("entry {i}: walk text is not UTF-8"))?;
@@ -447,57 +453,21 @@ mod tests {
     }
 
     #[test]
-    fn old_format_plain_record_snapshot_still_loads() {
-        // Reconstruct, byte for byte, the file a pre-compact-record binary
-        // would have written: same header, same entry framing, but every
-        // matrix in the plain (non-delta) record layout. It must restore
-        // bit-identically through the current loader.
+    fn overlong_walk_length_is_quarantined_not_a_panic() {
+        // The checksum holds, so only the entry parser stands between a
+        // walk length of u64::MAX and an overflowing bounds check.
         let g = mas_like();
-        let cache = populated_cache(&g);
-        let fp = graph_fingerprint(&g);
-        let mut entries: Vec<(u8, String, &Csr)> = cache
-            .entries()
-            .map(|(kind, mw, m)| {
-                let kind_byte = match kind {
-                    CacheKind::Plain => 0u8,
-                    CacheKind::Informative => 1u8,
-                };
-                (kind_byte, mw.display(g.labels()), m)
-            })
-            .collect();
-        entries.sort_by(|a, b| (a.0, &a.1).cmp(&(b.0, &b.1)));
-        let mut payload = Vec::new();
-        for (kind, text, m) in &entries {
-            payload.push(*kind);
-            payload.extend_from_slice(&(text.len() as u64).to_le_bytes());
-            payload.extend_from_slice(text.as_bytes());
-            m.encode_into(&mut payload); // plain records, as the old binary wrote
-        }
-        let mut old = Vec::with_capacity(HEADER_LEN + payload.len());
-        old.extend_from_slice(MAGIC);
-        old.extend_from_slice(&VERSION.to_le_bytes());
-        old.extend_from_slice(&fp.to_le_bytes());
-        old.extend_from_slice(&(entries.len() as u64).to_le_bytes());
-        old.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-        old.extend_from_slice(&checksum(&payload).to_le_bytes());
-        old.extend_from_slice(&payload);
-
-        let dir = tmp_dir("oldfmt");
+        let mut payload = vec![0u8];
+        payload.extend_from_slice(&u64::MAX.to_le_bytes());
+        let dir = tmp_dir("walk-len");
         let path = dir.join("idx.snap");
-        fs::write(&path, &old).unwrap();
-        let restored = match load(&path, &g).unwrap() {
-            LoadOutcome::Restored(e) => e,
-            other => panic!("expected restore, got {other:?}"),
-        };
-        assert_eq!(restored.len(), 4);
-        for (kind, mw, m) in &restored {
-            assert_eq!(cache.peek(*kind, mw), Some(m));
+        fs::write(&path, frame(graph_fingerprint(&g), 1, &payload)).unwrap();
+        match load(&path, &g).unwrap() {
+            LoadOutcome::Quarantined { reason, .. } => {
+                assert!(reason.contains("truncated walk text"), "{reason}");
+            }
+            other => panic!("expected quarantine, got {other:?}"),
         }
-        // The new writer produces a strictly smaller file for the same
-        // cache (these matrices are all compact-eligible).
-        let new_path = dir.join("new.snap");
-        let stats = save(&new_path, &g, &cache, &Budget::unlimited()).unwrap();
-        assert!(stats.bytes < old.len(), "{} vs {}", stats.bytes, old.len());
         let _ = fs::remove_dir_all(&dir);
     }
 

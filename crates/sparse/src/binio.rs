@@ -6,6 +6,7 @@
 //! bits of a cold rebuild. The encoding is therefore deliberately
 //! lossless and boring: little-endian fixed-width integers and raw
 //! `f64::to_bits` values, no compression, no floating-point re-parsing.
+//! Every matrix shape uses the one record layout of [`Csr::encode_into`].
 //!
 //! Decoding treats input as untrusted: lengths are validated against the
 //! available bytes *before* any allocation, and the reconstructed matrix
@@ -14,17 +15,8 @@
 //! caller's job (see `repsim-serve`), built on [`checksum`] — a 64-bit
 //! FNV-1a over the encoded bytes.
 
-use crate::compact::{CompactInvariant, CsrCompact};
 use crate::csr::{Csr, CsrInvariant};
 use std::fmt;
-
-/// Leading tag of a compact (delta-encoded) record. The plain format's
-/// first field is `nrows`, which in any real snapshot is far below 2⁶³,
-/// so a decoder can discriminate the two formats on the first `u64`:
-/// old-format snapshots keep loading unchanged, and an old binary fed a
-/// compact record fails safe (the magic reads as an implausible `nrows`
-/// and is rejected before allocation).
-const COMPACT_MAGIC: u64 = 0xC5C2_0001_D17A_C0DE;
 
 /// Errors from decoding an encoded [`Csr`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -191,31 +183,11 @@ impl Csr {
         out
     }
 
-    /// Appends the most compact lossless encoding of `self`: the
-    /// delta-encoded [`CsrCompact`] record when the shape is eligible
-    /// (~60% of the plain column-structure bytes), the plain record
-    /// otherwise. [`Csr::decode`] reads both transparently, and either
-    /// round trip is bit-identical.
-    pub fn encode_auto_into(&self, out: &mut Vec<u8>) -> usize {
-        match CsrCompact::try_from_csr(self) {
-            Some(c) => c.encode_into(out),
-            None => self.encode_into(out),
-        }
-    }
-
-    /// Decodes one matrix — plain or compact record — from the front of
-    /// `bytes`, returning it with the number of bytes consumed. The
-    /// reconstruction re-validates every CSR invariant, so corrupt input
-    /// yields a [`DecodeError`], never a malformed matrix.
+    /// Decodes one matrix from the front of `bytes`, returning it with
+    /// the number of bytes consumed. The reconstruction re-validates every
+    /// CSR invariant, so corrupt input yields a [`DecodeError`], never a
+    /// malformed matrix.
     pub fn decode(bytes: &[u8]) -> Result<(Csr, usize), DecodeError> {
-        if bytes.len() >= 8 {
-            let mut head = [0u8; 8];
-            head.copy_from_slice(&bytes[..8]);
-            if u64::from_le_bytes(head) == COMPACT_MAGIC {
-                let (c, used) = CsrCompact::decode(bytes)?;
-                return Ok((c.try_to_csr()?, used));
-            }
-        }
         let mut r = Reader { bytes, pos: 0 };
         let nrows_decl = r.u64("header")?;
         let ncols_decl = r.u64("header")?;
@@ -259,137 +231,6 @@ impl Csr {
             values,
         )?;
         Ok((m, r.pos))
-    }
-}
-
-impl CsrCompact {
-    /// Appends the compact record encoding of `self` to `out` and returns
-    /// the number of bytes written.
-    ///
-    /// Layout (little-endian): [`COMPACT_MAGIC`]`: u64`, `nrows: u64`,
-    /// `ncols: u64`, `nnz: u64`, then `nrows + 1` row-pointer `u32`s,
-    /// `nnz` column-delta `u16`s, and `nnz` value bit patterns
-    /// (`f64::to_bits` as `u64`).
-    pub fn encode_into(&self, out: &mut Vec<u8>) -> usize {
-        let start = out.len();
-        let (row_ptr, deltas, values) = self.raw();
-        out.reserve(32 + row_ptr.len() * 4 + deltas.len() * 2 + values.len() * 8);
-        push_u64(out, COMPACT_MAGIC);
-        push_u64(out, self.nrows() as u64);
-        push_u64(out, self.ncols() as u64);
-        push_u64(out, self.nnz() as u64);
-        for &p in row_ptr {
-            out.extend_from_slice(&p.to_le_bytes());
-        }
-        for &d in deltas {
-            out.extend_from_slice(&d.to_le_bytes());
-        }
-        for &v in values {
-            push_u64(out, v.to_bits());
-        }
-        out.len() - start
-    }
-
-    /// The encoding of [`CsrCompact::encode_into`] as an owned buffer.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        self.encode_into(&mut out);
-        out
-    }
-
-    /// Decodes one compact record from the front of `bytes`, returning it
-    /// with the number of bytes consumed. Structural invariants are
-    /// re-checked here; full CSR invariants (column bounds, sortedness)
-    /// are re-checked when the result is expanded via
-    /// [`CsrCompact::try_to_csr`], which [`Csr::decode`] always does.
-    pub fn decode(bytes: &[u8]) -> Result<(CsrCompact, usize), DecodeError> {
-        let mut r = Reader { bytes, pos: 0 };
-        let magic = r.u64("magic")?;
-        if magic != COMPACT_MAGIC {
-            return Err(DecodeError::LengthOverflow {
-                field: "magic",
-                declared: magic,
-            });
-        }
-        let nrows_decl = r.u64("header")?;
-        let ncols_decl = r.u64("header")?;
-        let nnz_decl = r.u64("header")?;
-        let nrows = usize::try_from(nrows_decl).map_err(|_| DecodeError::LengthOverflow {
-            field: "nrows",
-            declared: nrows_decl,
-        })?;
-        let ncols = usize::try_from(ncols_decl).map_err(|_| DecodeError::LengthOverflow {
-            field: "ncols",
-            declared: ncols_decl,
-        })?;
-        let nptr = r.check_len(nrows_decl.saturating_add(1), 4, "row_ptr")?;
-        let mut row_ptr = Vec::with_capacity(nptr);
-        for chunk in r.take(nptr * 4, "row_ptr")?.chunks_exact(4) {
-            let mut arr = [0u8; 4];
-            arr.copy_from_slice(chunk);
-            row_ptr.push(u32::from_le_bytes(arr));
-        }
-        let nnz = r.check_len(nnz_decl, 2, "col_delta")?;
-        let mut deltas = Vec::with_capacity(nnz);
-        for chunk in r.take(nnz * 2, "col_delta")?.chunks_exact(2) {
-            let mut arr = [0u8; 2];
-            arr.copy_from_slice(chunk);
-            deltas.push(u16::from_le_bytes(arr));
-        }
-        let _ = r.check_len(nnz_decl, 8, "values")?;
-        let mut values = Vec::with_capacity(nnz);
-        for chunk in r.take(nnz * 8, "values")?.chunks_exact(8) {
-            let mut arr = [0u8; 8];
-            arr.copy_from_slice(chunk);
-            values.push(f64::from_bits(u64::from_le_bytes(arr)));
-        }
-        // The raw constructor names the violated invariant; translate to
-        // the decoder's error vocabulary (the plain-CSR invariant when
-        // one corresponds, a header overflow for ineligible shapes).
-        let c = CsrCompact::try_from_raw(nrows, ncols, row_ptr, deltas, values).map_err(
-            |e| match e {
-                CompactInvariant::RowPtrShape { start, found, .. } if found == nrows + 1 => {
-                    CsrInvariant::RowPtrStart {
-                        found: start as usize,
-                    }
-                    .into()
-                }
-                CompactInvariant::RowPtrShape {
-                    expected, found, ..
-                } => CsrInvariant::RowPtrLength { expected, found }.into(),
-                CompactInvariant::RowPtrNotMonotone { row, lo, hi } => {
-                    CsrInvariant::RowPtrNotMonotone {
-                        row,
-                        lo: lo as usize,
-                        hi: hi as usize,
-                    }
-                    .into()
-                }
-                CompactInvariant::PartsMismatch {
-                    row_ptr_end,
-                    deltas,
-                    values,
-                } => CsrInvariant::NnzMismatch {
-                    row_ptr_end: row_ptr_end as usize,
-                    cols: deltas,
-                    values,
-                }
-                .into(),
-                CompactInvariant::DeltaOutOfBounds { row, col, ncols } => {
-                    CsrInvariant::ColumnOutOfBounds {
-                        row,
-                        col: u32::try_from(col).unwrap_or(u32::MAX),
-                        ncols,
-                    }
-                    .into()
-                }
-                CompactInvariant::Ineligible { .. } => DecodeError::LengthOverflow {
-                    field: "ncols",
-                    declared: ncols_decl,
-                },
-            },
-        )?;
-        Ok((c, r.pos))
     }
 }
 
@@ -483,92 +324,6 @@ mod tests {
         assert!(matches!(
             Csr::decode(&huge).unwrap_err(),
             DecodeError::LengthOverflow { .. } | DecodeError::Truncated { .. }
-        ));
-    }
-
-    #[test]
-    fn compact_record_roundtrips_to_identical_bytes() {
-        // encode → decode → encode must reproduce the exact byte stream
-        // (and the expanded matrix must be bit-identical to the source).
-        let m = sample();
-        let c = CsrCompact::try_from_csr(&m).unwrap();
-        let bytes = c.encode();
-        let (back, used) = CsrCompact::decode(&bytes).unwrap();
-        assert_eq!(used, bytes.len());
-        assert_eq!(back.encode(), bytes);
-        let expanded = back.try_to_csr().unwrap();
-        for r in 0..m.nrows() {
-            let (ca, va) = m.row(r);
-            let (cb, vb) = expanded.row(r);
-            assert_eq!(ca, cb);
-            for (x, y) in va.iter().zip(vb) {
-                assert_eq!(x.to_bits(), y.to_bits(), "row {r}");
-            }
-        }
-    }
-
-    #[test]
-    fn decode_reads_both_record_formats() {
-        // A stream holding a plain record then a compact one decodes
-        // transparently through the same entry point.
-        let a = sample();
-        let b = Csr::identity(3);
-        let mut bytes = a.encode();
-        let plain_len = bytes.len();
-        let auto_len = b.encode_auto_into(&mut bytes);
-        // identity(3) is narrow, so auto chose the compact record —
-        // strictly smaller than its plain encoding.
-        assert!(auto_len < b.encode().len());
-        let (da, used) = Csr::decode(&bytes).unwrap();
-        assert_eq!((used, &da), (plain_len, &a));
-        let (db, used2) = Csr::decode(&bytes[used..]).unwrap();
-        assert_eq!((used + used2, &db), (bytes.len(), &b));
-    }
-
-    #[test]
-    fn wide_matrices_fall_back_to_plain_record() {
-        let wide = Csr::zeros(2, crate::compact::MAX_COMPACT_NCOLS + 1);
-        let mut auto = Vec::new();
-        wide.encode_auto_into(&mut auto);
-        assert_eq!(auto, wide.encode());
-        let (back, _) = Csr::decode(&auto).unwrap();
-        assert_eq!(back, wide);
-    }
-
-    #[test]
-    fn compact_truncation_is_detected_at_every_length() {
-        let c = CsrCompact::try_from_csr(&sample()).unwrap();
-        let bytes = c.encode();
-        for cut in 0..bytes.len() {
-            let err = Csr::decode(&bytes[..cut]).unwrap_err();
-            assert!(
-                matches!(
-                    err,
-                    DecodeError::Truncated { .. } | DecodeError::LengthOverflow { .. }
-                ),
-                "cut {cut}: {err:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn corrupt_compact_structure_is_rejected() {
-        let c = CsrCompact::try_from_csr(&sample()).unwrap();
-        let bytes = c.encode();
-        // Flip a row_ptr byte (offset 32 = after magic + header): the
-        // structural re-checks must reject it.
-        let mut corrupt = bytes.clone();
-        corrupt[32] ^= 0xff;
-        assert!(Csr::decode(&corrupt).is_err());
-        // A delta pushing a column past ncols is caught by the full CSR
-        // re-validation on expansion.
-        let mut oob = bytes.clone();
-        let delta_at = 32 + 4 * 4; // 4 row-ptr u32s for 3 rows
-        oob[delta_at] = 0xff;
-        oob[delta_at + 1] = 0xff;
-        assert!(matches!(
-            Csr::decode(&oob).unwrap_err(),
-            DecodeError::Invariant(CsrInvariant::ColumnOutOfBounds { .. })
         ));
     }
 

@@ -44,7 +44,6 @@ pub mod accum;
 pub mod binio;
 pub mod budget;
 pub mod chain;
-pub mod compact;
 pub mod csr;
 pub mod dense;
 pub mod ops;
@@ -55,7 +54,6 @@ pub mod vector;
 pub use accum::SpgemmArena;
 pub use binio::{checksum, DecodeError};
 pub use budget::{Budget, ExecError};
-pub use compact::{CompactInvariant, CsrCompact};
 pub use csr::{Csr, CsrInvariant};
 pub use dense::Dense;
 pub use parallelism::Parallelism;

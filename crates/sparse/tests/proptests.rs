@@ -11,6 +11,7 @@
 //! 5. rows that cancel to exact zero, wholly or in part, at the first and
 //!    last rows and at every band edge, leave a sound, gap-free result
 //!    equal to the dense reference at every thread count.
+//! 6. the binary snapshot record round-trips bit for bit and byte for byte.
 
 // Tests may panic freely: the workspace panic-freedom lints target
 // library code, not assertions.
@@ -25,7 +26,7 @@ use proptest::prelude::*;
 use repsim_sparse::chain::{spmm_chain_with_threads, try_spmm_chain_with_budget};
 use repsim_sparse::ops::{spmm, spmm_chain, try_spmm_with_budget};
 use repsim_sparse::par::{spmm_par, weighted_chunks};
-use repsim_sparse::{Budget, Csr, CsrCompact, ExecError};
+use repsim_sparse::{Budget, Csr, ExecError};
 
 /// Raw triplet material: positions are reduced modulo the actual matrix
 /// dimensions, values map to non-zero integers in `-6..=6` so cancellation
@@ -184,18 +185,18 @@ proptest! {
         }
     }
 
-    // The succinct CSR is lossless on every matrix narrow enough to
-    // qualify: expansion restores the exact bits (including negative
-    // zeros), and re-compacting the expansion reproduces the encoding.
+    // The snapshot record is lossless: decoding restores the exact bits,
+    // consumes exactly the record, and re-encoding reproduces its bytes.
     #[test]
-    fn csr_compact_round_trip_is_lossless(
+    fn csr_record_round_trip_is_lossless(
         nrows in 1..30usize,
         ncols in 1..30usize,
         raw in triplets(),
     ) {
         let m = build(nrows, ncols, &raw);
-        let compact = CsrCompact::try_from_csr(&m).expect("small dims are always eligible");
-        let back = compact.to_csr();
+        let bytes = m.encode();
+        let (back, used) = Csr::decode(&bytes).expect("a fresh record decodes");
+        prop_assert_eq!(used, bytes.len());
         prop_assert_eq!(&back, &m);
         for r in 0..m.nrows() {
             let (_, mv) = m.row(r);
@@ -204,12 +205,7 @@ proptest! {
                 prop_assert_eq!(x.to_bits(), y.to_bits());
             }
         }
-        let again = CsrCompact::try_from_csr(&back).expect("round trip stays eligible");
-        let mut bytes = Vec::new();
-        let mut bytes_again = Vec::new();
-        compact.encode_into(&mut bytes);
-        again.encode_into(&mut bytes_again);
-        prop_assert_eq!(bytes, bytes_again);
+        prop_assert_eq!(back.encode(), bytes);
     }
 
     // Same all-or-nothing property through the chain planner: whatever

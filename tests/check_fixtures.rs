@@ -128,21 +128,3 @@ fn mutation_batch_without_graph_runs_structural_checks_only() {
     assert!(!out.contains("RS0603"), "{out}");
     assert!(!out.contains("RS0604"), "{out}");
 }
-
-#[test]
-fn compact_fixture_passes_and_chains_with_plain() {
-    // The .csrc record expands to the same 2x3 matrix as sound.csr, so
-    // chaining it in front of itself^T-shaped factors type-checks too.
-    let out = check_passes("--csr fixtures/compact_sound.csrc");
-    assert!(out.contains("no issues found"), "{out}");
-}
-
-#[test]
-fn seeded_compact_defects_hit_every_rs040678_code() {
-    let out = check_fails("--csr fixtures/compact_bad_rowptr.csrc");
-    assert!(out.contains("error[RS0406]"), "{out}");
-    let out = check_fails("--csr fixtures/compact_delta_oob.csrc");
-    assert!(out.contains("error[RS0407]"), "{out}");
-    let out = check_fails("--csr fixtures/compact_ineligible.csrc");
-    assert!(out.contains("error[RS0408]"), "{out}");
-}

@@ -5,9 +5,10 @@
 //! `fixtures/golden/` holds one file of each, written from the fixed
 //! inputs below. Rebuilding them must reproduce those files byte for
 //! byte, so any change to the on-disk format shows up here first. The
-//! snapshot must also restore every matrix bit for bit. Log recovery is
-//! then checked at every truncation offset of each log, and the damage
-//! events and counters are pinned by name.
+//! snapshot must also restore every matrix bit for bit, and a snapshot
+//! in the retired compact matrix record must quarantine. Log recovery
+//! is then checked at every truncation offset of each log, and the
+//! damage events and counters are pinned by name.
 
 // Tests may panic freely: the workspace panic-freedom lints target
 // library code, not assertions.
@@ -40,6 +41,12 @@ const GOLDEN_CAP: &str = concat!(
 const GOLDEN_SNAP: &str = concat!(
     env!("CARGO_MANIFEST_DIR"),
     "/fixtures/golden/index.rsimsnap"
+);
+/// The same index, written when snapshots stored each matrix in the
+/// delta-encoded compact record.
+const GOLDEN_SNAP_COMPACT: &str = concat!(
+    env!("CARGO_MANIFEST_DIR"),
+    "/fixtures/golden/index_compact_v1.rsimsnap"
 );
 const HEADER_LEN: usize = 20;
 const CAPTURE_SEED: u64 = 0x5eed_cafe;
@@ -236,6 +243,32 @@ fn rebuilt_logs_match_the_golden_bytes() {
         std::fs::read(GOLDEN_SNAP).unwrap()
     );
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A version-1 file whose matrices use the retired compact record is
+/// rejected at the matrix decode and moved aside, never misread as a
+/// matrix: its record magic reads as an implausible row count.
+#[test]
+fn compact_record_snapshot_quarantines() {
+    // Quarantine emits a point event; keep it out of the damage test's
+    // sink.
+    let _x = repsim_obs::exclusive();
+    let g = index_graph();
+    let path = copy_of(
+        &std::fs::read(GOLDEN_SNAP_COMPACT).unwrap(),
+        "index.rsimsnap",
+    );
+    match snapshot::load(&path, &g).unwrap() {
+        LoadOutcome::Quarantined {
+            reason,
+            quarantined_to,
+        } => {
+            assert!(reason.contains("matrix decode failed"), "{reason}");
+            assert!(quarantined_to.exists() && !path.exists());
+        }
+        other => panic!("expected quarantine, got {other:?}"),
+    }
+    let _ = std::fs::remove_dir_all(path.parent().unwrap());
 }
 
 #[test]
