@@ -502,10 +502,10 @@ struct MutateLeg {
 
 /// The `profile --mutate` leg: picks the first graph edge whose endpoint
 /// labels are adjacent in the half walk, removes and re-adds it —
-/// write-ahead logging both operations and evicting the cache entries
-/// each one reaches, then rebuilding them as the next rank would — then
-/// re-opens the log from disk and checks the replayed graph against the
-/// live mutation path. The caller
+/// write-ahead logging both operations and patching the rows each one
+/// reaches into the cache entries, then looking the walk up as the next
+/// rank would — then re-opens the log from disk and checks the replayed
+/// graph against the live mutation path. The caller
 /// verifies that ranking over the final graph still matches the original
 /// (remove + re-add restores the walk multiset exactly).
 fn profile_mutate_leg(
@@ -596,8 +596,7 @@ fn profile_mutate_leg(
 /// appends a numeric-phase breakdown: how many output rows the dense
 /// accumulator computed and how many column tiles it actually visited.
 /// `--mutate`
-/// appends a mutation leg — WAL append, cache eviction and rebuild,
-/// replay from disk, and a ranking over the mutated graph that must
+/// appends a mutation leg — WAL append, cache patch, replay from disk, and a ranking over the mutated graph that must
 /// match the original.
 pub fn profile(args: &Args) -> Result<String, CliError> {
     use repsim_baselines::ranking::SimilarityAlgorithm;
@@ -652,7 +651,7 @@ pub fn profile(args: &Args) -> Result<String, CliError> {
             None => None,
         };
         // Optional mutation leg: WAL-logged remove + re-add of one edge
-        // on the walk, evicted and rebuilt, replayed from disk.
+        // on the walk, patched into the cache, replayed from disk.
         let mutate = match args.has("mutate") {
             true => Some(profile_mutate_leg(
                 &g,
@@ -1469,15 +1468,14 @@ mod tests {
         .unwrap();
         assert!(out.contains("mutation leg:"), "{out}");
         assert!(out.contains("2 appended, 2 replayed"), "{out}");
-        // Each edge op evicts the warmed half walk; the leg rebuilds it
-        // before the next op, so both report an eviction.
-        assert!(out.contains("evict then evict"), "{out}");
+        // Each edge op patches the warmed half walk in place.
+        assert!(out.contains("patch then patch"), "{out}");
         assert!(out.contains("matches the original bit-for-bit"), "{out}");
-        // The WAL and eviction layers landed in the span tree and metrics.
+        // The WAL and patch layers landed in the span tree and metrics.
         assert!(out.contains("repsim.graph.wal.append"), "{out}");
         assert!(out.contains("repsim.graph.wal.replay"), "{out}");
         assert!(out.contains("repsim.metawalk.delta.apply"), "{out}");
-        assert!(out.contains("repsim.cache.delta.evictions"), "{out}");
+        assert!(out.contains("repsim.cache.delta.applied"), "{out}");
         assert!(std::path::Path::new(&wal).exists(), "wal file persists");
     }
 

@@ -210,7 +210,7 @@ COMMANDS:
                                         --kernel adds the SpGEMM numeric-phase
                                         row and tile counts;
                                         --mutate adds a WAL append + replay +
-                                        cache-eviction + re-rank leg
+                                        cache-patch + re-rank leg
   serve        FILE [--addr HOST:PORT] [--snapshot FILE] [--wal FILE]
                [--queue-cap N] [--port-file FILE] [--fault-injection]
                [--metrics-journal FILE] [--metrics-interval-ms N]

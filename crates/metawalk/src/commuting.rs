@@ -19,6 +19,13 @@
 //! §5.2's \*-labels collapse a stretch of the meta-walk to the mere
 //! existence of a connection: the product over every maximal run of
 //! \*-marked entity labels (including its flanking hops) is binarized.
+//!
+//! A build runs in two steps. It first forms the chain *factors*, one
+//! per segment: the stretch of the walk that closes at each plain entity
+//! label, with the per-hop diagonal removal and the \*-run binarization
+//! already applied. The final cost-ordered chain product then multiplies
+//! them. [`CommutingCache`] keeps each entry's factors beside its matrix,
+//! so [`crate::delta`] can patch the rows a mutation reaches.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -67,13 +74,20 @@ pub fn try_plain_commuting_with(
     par: Parallelism,
     budget: &Budget,
 ) -> Result<Csr, ExecError> {
-    if mw.has_star() {
-        return Err(ExecError::InvalidInput {
+    check_plain(mw)?;
+    compute(g, mw, false, par, budget)
+}
+
+/// Plain PathSim has no \*-label semantics: a plain build of a walk with
+/// a \*-label is an [`ExecError::InvalidInput`].
+fn check_plain(mw: &MetaWalk) -> Result<(), ExecError> {
+    match mw.has_star() {
+        true => Err(ExecError::InvalidInput {
             op: "commuting",
             message: "plain commuting matrices cannot use *-labels".to_owned(),
-        });
+        }),
+        false => Ok(()),
     }
-    compute(g, mw, false, par, budget)
 }
 
 /// Computes the informative commuting matrix `M̂_p` (informative instances
@@ -109,59 +123,117 @@ fn compute(
     par: Parallelism,
     budget: &Budget,
 ) -> Result<Csr, ExecError> {
+    build(g, mw, informative, par, budget).map(|(m, _)| m)
+}
+
+/// The commuting matrix of `mw` plus the chain factors it is the
+/// product of ([`factors`]); a single-label walk has no factors and its
+/// matrix is the identity.
+fn build(
+    g: &Graph,
+    mw: &MetaWalk,
+    informative: bool,
+    par: Parallelism,
+    budget: &Budget,
+) -> Result<(Csr, Vec<Csr>), ExecError> {
     let mut build_span = repsim_obs::span("repsim.metawalk.commuting.build");
     if build_span.is_active() {
         build_span.attr("walk", mw.to_string());
         build_span.attr("informative", informative);
     }
-    let steps = mw.steps();
-    let entity_pos: Vec<usize> = (0..steps.len()).filter(|&i| steps[i].is_entity()).collect();
-    debug_assert!(entity_pos.first() == Some(&0));
-    debug_assert!(entity_pos.last() == Some(&(steps.len() - 1)));
-
-    if entity_pos.len() == 1 {
-        // A single-label meta-walk: walks of length zero, one per node.
-        budget.check()?;
-        let n = g.nodes_of_label(mw.source()).len();
-        return Ok(Csr::identity(n));
-    }
-
-    // Collect hop matrices per segment, binarizing at the close of each
-    // *-run, then join everything with cost-ordered chain products.
-    // Corrections (diagonal removal per hop, binarization per segment)
-    // happen before any cross-hop or cross-segment product, so the chain
-    // planner is free to reassociate each product level.
-    //
     // One SpGEMM arena serves every product of the build — hop chains,
     // segment chains, and the final join all reuse the same accumulator
     // scratch, so a build allocates kernel workspace once per worker.
     let mut arena = SpgemmArena::new();
-    let mut segments: Vec<Csr> = Vec::new();
-    let mut hops: Vec<Csr> = Vec::new();
-    let mut segment_has_star = false;
-    for w in entity_pos.windows(2) {
-        hops.push(hop_matrix(
-            g,
-            steps[w[0]..=w[1]].iter().map(|s| s.label()),
-            informative,
-            par,
-            budget,
-            &mut arena,
-        )?);
-        if steps[w[1]].is_star() {
-            segment_has_star = true;
-            continue;
+    let fs = factors_in(g, mw, informative, par, budget, &mut arena)?;
+    let m = match fs.is_empty() {
+        true => {
+            // A single-label meta-walk: walks of length zero, one per node.
+            budget.check()?;
+            Csr::identity(g.nodes_of_label(mw.source()).len())
         }
-        // Arrived at a plain entity: close the current segment.
-        let mut seg = chain_product(std::mem::take(&mut hops), par, budget, &mut arena)?;
-        if segment_has_star {
-            seg = seg.binarized();
-            segment_has_star = false;
+        false => {
+            let refs: Vec<&Csr> = fs.iter().collect();
+            try_spmm_chain_with_budget_in(&refs, par.threads(), budget, &mut arena)?
         }
-        segments.push(seg);
+    };
+    Ok((m, fs))
+}
+
+/// The step ranges `lo..=hi` of a walk's *segments*: the stretches that
+/// close at each plain entity label, so a segment's interior holds only
+/// relationship labels and \*-marked entity labels. A single-label walk
+/// has none.
+pub(crate) fn segments(mw: &MetaWalk) -> Vec<(usize, usize)> {
+    let steps = mw.steps();
+    let mut out = Vec::new();
+    let mut lo = 0;
+    for (i, s) in steps.iter().enumerate().skip(1) {
+        if s.is_entity() && !s.is_star() {
+            out.push((lo, i));
+            lo = i;
+        }
     }
-    debug_assert!(hops.is_empty(), "meta-walk must end at a plain entity");
-    chain_product(segments, par, budget, &mut arena)
+    debug_assert!(steps.first().is_some_and(|s| s.is_entity()));
+    debug_assert!(
+        lo == steps.len() - 1,
+        "meta-walk must end at a plain entity"
+    );
+    out
+}
+
+/// The chain factors of `mw`'s commuting matrix, one per segment
+/// ([`segments`]), in walk order. The product of the factors is the
+/// commuting matrix; a single-label walk has no factors.
+fn factors_in(
+    g: &Graph,
+    mw: &MetaWalk,
+    informative: bool,
+    par: Parallelism,
+    budget: &Budget,
+    arena: &mut SpgemmArena,
+) -> Result<Vec<Csr>, ExecError> {
+    segments(mw)
+        .into_iter()
+        .map(|seg| segment_matrix(g, mw, seg, informative, par, budget, arena))
+        .collect()
+}
+
+/// The factor of one segment `lo..=hi`: the product of its hops, binarized
+/// when it crosses a \*-label. Corrections (diagonal removal per hop,
+/// binarization per segment) happen before any cross-hop or
+/// cross-segment product, so the chain planner is free to reassociate
+/// each product level.
+pub(crate) fn segment_matrix(
+    g: &Graph,
+    mw: &MetaWalk,
+    (lo, hi): (usize, usize),
+    informative: bool,
+    par: Parallelism,
+    budget: &Budget,
+    arena: &mut SpgemmArena,
+) -> Result<Csr, ExecError> {
+    let steps = &mw.steps()[lo..=hi];
+    let entity_pos: Vec<usize> = (0..steps.len()).filter(|&i| steps[i].is_entity()).collect();
+    let hops = entity_pos
+        .windows(2)
+        .map(|w| {
+            hop_matrix(
+                g,
+                steps[w[0]..=w[1]].iter().map(|s| s.label()),
+                informative,
+                par,
+                budget,
+                arena,
+            )
+        })
+        .collect::<Result<Vec<Csr>, ExecError>>()?;
+    let seg = chain_product(hops, par, budget, arena)?;
+    Ok(match entity_pos.len() > 2 {
+        // Interior entity labels of a segment are *-marked.
+        true => seg.binarized(),
+        false => seg,
+    })
 }
 
 /// Cost-ordered product of an owned chain (single factors pass through
@@ -233,7 +305,10 @@ pub fn count_between(
 ///
 /// Entries are held as `Arc<Csr>`, so a caller that keeps a matrix
 /// beyond one lookup ([`CommutingCache::try_informative_shared`]) shares
-/// the cache's allocation instead of copying it.
+/// the cache's allocation instead of copying it. Each entry also keeps
+/// the chain factors its matrix is the product of, so
+/// [`crate::delta::DeltaMaintainer`] can patch the rows a mutation
+/// reaches instead of dropping the matrix.
 ///
 /// Budgeted misses are abort-safe: a build that fails with an
 /// [`ExecError`] inserts **nothing** — a matrix enters the cache only
@@ -241,9 +316,16 @@ pub fn count_between(
 /// hits with a partial product (pinned by the `aborted_build_*` tests).
 #[derive(Default)]
 pub struct CommutingCache {
-    plain: HashMap<MetaWalk, Arc<Csr>>,
-    informative: HashMap<MetaWalk, Arc<Csr>>,
+    plain: HashMap<MetaWalk, Entry>,
+    informative: HashMap<MetaWalk, Entry>,
     stats: CacheStats,
+}
+
+/// One cached walk: its matrix and the chain factors (one per segment,
+/// walk order) whose product it is.
+pub(crate) struct Entry {
+    pub(crate) m: Arc<Csr>,
+    pub(crate) factors: Vec<Csr>,
 }
 
 /// Lifetime statistics of one [`CommutingCache`]. The same counts are
@@ -273,14 +355,14 @@ impl CommutingCache {
         self.stats
     }
 
-    fn map(&self, kind: CacheKind) -> &HashMap<MetaWalk, Arc<Csr>> {
+    fn map(&self, kind: CacheKind) -> &HashMap<MetaWalk, Entry> {
         match kind {
             CacheKind::Plain => &self.plain,
             CacheKind::Informative => &self.informative,
         }
     }
 
-    fn map_mut(&mut self, kind: CacheKind) -> &mut HashMap<MetaWalk, Arc<Csr>> {
+    fn map_mut(&mut self, kind: CacheKind) -> &mut HashMap<MetaWalk, Entry> {
         match kind {
             CacheKind::Plain => &mut self.plain,
             CacheKind::Informative => &mut self.informative,
@@ -389,17 +471,23 @@ impl CommutingCache {
         } else {
             self.stats.misses += 1;
             CACHE_MISS.add(1);
-            let m = match kind {
-                CacheKind::Plain => try_plain_commuting_with(g, mw, par, budget)?,
-                CacheKind::Informative => try_informative_commuting_with(g, mw, par, budget)?,
-            };
-            self.map_mut(kind).insert(mw.clone(), Arc::new(m));
+            if kind == CacheKind::Plain {
+                check_plain(mw)?;
+            }
+            let (m, factors) = build(g, mw, kind == CacheKind::Informative, par, budget)?;
+            self.map_mut(kind).insert(
+                mw.clone(),
+                Entry {
+                    m: Arc::new(m),
+                    factors,
+                },
+            );
             self.stats.inserts += 1;
             CACHE_INSERT.add(1);
         }
         #[allow(clippy::expect_used)] // hit or inserted just above
-        let m = self.map(kind).get(mw).expect("just inserted");
-        Ok(m)
+        let entry = self.map(kind).get(mw).expect("just inserted");
+        Ok(&entry.m)
     }
 
     /// Number of cached matrices.
@@ -417,30 +505,64 @@ impl CommutingCache {
     pub fn entries(&self) -> impl Iterator<Item = (CacheKind, &MetaWalk, &Csr)> {
         [CacheKind::Plain, CacheKind::Informative]
             .into_iter()
-            .flat_map(move |kind| self.map(kind).iter().map(move |(mw, m)| (kind, mw, &**m)))
+            .flat_map(move |kind| self.map(kind).iter().map(move |(mw, e)| (kind, mw, &*e.m)))
+    }
+
+    /// One entry, mutable — the maintainer's patch hook.
+    pub(crate) fn entry_mut(&mut self, kind: CacheKind, mw: &MetaWalk) -> Option<&mut Entry> {
+        self.map_mut(kind).get_mut(mw)
     }
 
     /// Looks up a cached matrix without building on miss (and without
     /// touching hit/miss stats) — the read-only twin of the `try_*`
     /// getters for callers that degrade instead of building.
     pub fn peek(&self, kind: CacheKind, mw: &MetaWalk) -> Option<&Csr> {
-        self.map(kind).get(mw).map(|m| &**m)
+        self.map(kind).get(mw).map(|e| &*e.m)
+    }
+
+    /// [`CommutingCache::peek`] returning a handle on the cached
+    /// allocation, like [`CommutingCache::try_informative_shared`].
+    pub fn peek_shared(&self, kind: CacheKind, mw: &MetaWalk) -> Option<Arc<Csr>> {
+        self.map(kind).get(mw).map(|e| Arc::clone(&e.m))
     }
 
     /// Inserts a prebuilt matrix — the snapshot import hook. The matrix
-    /// must have been produced by the matching build for `mw` on the same
-    /// graph (snapshot loading verifies this via checksums and graph
-    /// fingerprints before calling). Counts as an insert; replaces any
-    /// existing entry.
-    pub fn import(&mut self, kind: CacheKind, mw: MetaWalk, m: impl Into<Arc<Csr>>) {
-        self.map_mut(kind).insert(mw, m.into());
+    /// must have been produced by the matching build for `mw` on `g`
+    /// (snapshot loading verifies this via checksums and graph
+    /// fingerprints before calling). The entry's chain factors are
+    /// rebuilt from `g`, which is milliseconds next to the product; a
+    /// factor build that fails inserts nothing. Counts as an insert;
+    /// replaces any existing entry.
+    pub fn import(
+        &mut self,
+        g: &Graph,
+        kind: CacheKind,
+        mw: MetaWalk,
+        m: impl Into<Arc<Csr>>,
+    ) -> Result<(), ExecError> {
+        let factors = factors_in(
+            g,
+            &mw,
+            kind == CacheKind::Informative,
+            Parallelism::serial(),
+            &Budget::unlimited(),
+            &mut SpgemmArena::new(),
+        )?;
+        self.map_mut(kind).insert(
+            mw,
+            Entry {
+                m: m.into(),
+                factors,
+            },
+        );
         self.stats.inserts += 1;
         CACHE_INSERT.add(1);
+        Ok(())
     }
 
     /// Drops a single entry (counted as an eviction when present) — the
-    /// invalidation hook [`crate::delta::DeltaMaintainer`] calls when a
-    /// mutation makes a cached matrix stale.
+    /// failure path of [`crate::delta::DeltaMaintainer`]: an entry whose
+    /// patch could not complete is dropped rather than left stale.
     pub fn evict(&mut self, kind: CacheKind, mw: &MetaWalk) -> bool {
         let removed = self.map_mut(kind).remove(mw).is_some();
         if removed {

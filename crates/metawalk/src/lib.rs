@@ -28,8 +28,8 @@
 //!   binarization (§5.2);
 //! * [`fd`] — functional dependencies over meta-walks (Definition 8), FD
 //!   discovery, and maximal chains under the `≺` order;
-//! * [`delta`] — cache maintenance under graph mutations: evict every
-//!   entry a mutation can reach, rebuild on next use;
+//! * [`delta`] — cache maintenance under graph mutations: patch the rows
+//!   a mutation reaches from each entry's chain factors, in place;
 //! * [`enumerate`] — meta-walk enumeration over the schema graph, the
 //!   inclusion relation (Definition 6) and maximal meta-walks
 //!   (Definition 7) for small databases;

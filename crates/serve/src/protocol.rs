@@ -24,8 +24,10 @@
 //! `label:#index` for relationship nodes ([`repsim_graph::NodeRef`]'s
 //! text form). Mutate responses carry the post-mutation graph
 //! fingerprint (hex), the WAL sequence number that made the write
-//! durable, and the index-maintenance path taken (`"evict"` when the
-//! mutation dropped cached matrices, `"none"` when it reached none).
+//! durable, and the index-maintenance path taken (`"patch"` when the
+//! mutation's rows were patched into the cached matrices it reaches,
+//! `"evict"` when a patch failed and its matrix was dropped, `"none"`
+//! when it reached none).
 //!
 //! Success envelope: `{"id":…,"ok":true,…}` with an op-specific payload;
 //! rank responses carry `"tier"` (the degradation tier that actually
@@ -590,7 +592,7 @@ pub enum Response {
         fingerprint: String,
         /// The WAL sequence number that made the write durable.
         seq: u64,
-        /// Index maintenance path: `"evict"` or `"none"`.
+        /// Index maintenance path: `"patch"`, `"evict"` or `"none"`.
         path: String,
     },
     /// A typed failure.

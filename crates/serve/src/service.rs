@@ -20,9 +20,11 @@
 //! validate against the current epoch → apply to a *copy* of the graph
 //! → durable WAL append (the acknowledgment barrier — nothing is
 //! acknowledged or made visible before the fsync returns) → index
-//! maintenance through [`DeltaMaintainer`], which evicts every cache
-//! entry the mutation can reach (the next rank rebuilds it through the
-//! single-flight build path) → seed refresh/evict → epoch swap.
+//! maintenance through [`DeltaMaintainer`], which patches the rows the
+//! mutation reaches in every cache entry it can reach (an entry whose
+//! patch fails is evicted and rebuilds through the single-flight build
+//! path) → seed re-install with `diag` refreshed on those rows → epoch
+//! swap.
 //! Ranking is serialized against mutation by the epoch fingerprint:
 //! seeds and cache entries are only trusted when their fingerprint
 //! matches the epoch that answers, so a rank racing a mutate either
@@ -37,7 +39,7 @@ use std::time::Duration;
 use repsim_core::{BudgetedRPathSim, Degradation, QueryEngine};
 use repsim_graph::mutation::{self, Touch};
 use repsim_graph::{Graph, LabelId, MutationOp};
-use repsim_metawalk::commuting::CommutingCache;
+use repsim_metawalk::commuting::{CacheKind, CommutingCache};
 use repsim_metawalk::delta::{walk_mentions, walk_touches_edge, DeltaMaintainer};
 use repsim_metawalk::MetaWalk;
 use repsim_obs::CounterHandle;
@@ -477,7 +479,10 @@ impl QueryService {
 
     /// Applies one mutation. Returns the post-mutation fingerprint
     /// (`0x`-hex), the WAL sequence number that made it durable, and
-    /// the index-maintenance path taken (`"evict"` or `"none"`).
+    /// the index-maintenance path taken: `"patch"` when the reached
+    /// cache entries were patched in place, `"evict"` when a patch
+    /// failed and its entry was dropped, `"none"` when no entry was
+    /// reached.
     pub fn handle_mutate(
         &self,
         op: &MutationOp,
@@ -527,29 +532,55 @@ impl QueryService {
             }
         };
 
-        // Index maintenance never fails past this point: every entry the
-        // mutation can reach is evicted and rebuilds on next use.
+        // Seeds: untouched walks keep their matrices and merely re-tag to
+        // the new fingerprint. The seeds of reached walks come out first,
+        // keeping only their diagonals, so the cache holds the only handle
+        // on those matrices and patches them in place.
+        let mut reached_diags = Vec::new();
+        {
+            let mut seeds = self.seeds.write().unwrap_or_else(|e| e.into_inner());
+            seeds.retain(|mw, seed| {
+                let reached = match touch {
+                    Touch::Edge(a, b) => walk_touches_edge(mw, a, b),
+                    Touch::Node(l) => walk_mentions(mw, l),
+                };
+                if reached && seed.fp == epoch.fp {
+                    reached_diags.push((mw.clone(), Arc::clone(&seed.diag)));
+                } else if seed.fp == epoch.fp {
+                    seed.fp = fp_after;
+                }
+                !reached
+            });
+        }
+
+        // Index maintenance never fails past this point: an entry whose
+        // patch fails is evicted and rebuilds on next use.
         let mut maintainer = DeltaMaintainer::new();
         let report = match touch {
             Touch::Edge(a, b) => maintainer.apply_edge_change(&mut cache, &g_new, a, b, &budget),
             Touch::Node(l) => maintainer.apply_node_change(&mut cache, l),
         };
 
-        // Seeds: walks the mutation touched are invalidated (their
-        // matrices changed or their node sets grew); untouched walks
-        // keep their matrices and merely re-tag to the new fingerprint.
-        {
-            let mut seeds = self.seeds.write().unwrap_or_else(|e| e.into_inner());
-            seeds.retain(|mw, seed| {
-                let stale = match touch {
-                    Touch::Edge(a, b) => walk_touches_edge(mw, a, b),
-                    Touch::Node(l) => walk_mentions(mw, l),
-                };
-                if !stale && seed.fp == epoch.fp {
-                    seed.fp = fp_after;
-                }
-                !stale
-            });
+        // Re-install the reached seeds at the new fingerprint, with the
+        // diagonal recomputed on the patched rows only, so the next rank
+        // takes the seed fast path. A walk whose entry was evicted stays
+        // unseeded until a rank rebuilds it.
+        for (mw, mut diag) in reached_diags {
+            let patched = report
+                .reached
+                .iter()
+                .find(|r| r.kind == CacheKind::Informative && r.walk == mw);
+            let (Some(patched), Some(m)) =
+                (patched, cache.peek_shared(CacheKind::Informative, &mw))
+            else {
+                continue;
+            };
+            let d = Arc::make_mut(&mut diag);
+            d.extend((d.len()..m.nrows()).map(|r| m.row_sq_sum(r)));
+            for &r in &patched.rows {
+                d[r] = m.row_sq_sum(r);
+            }
+            self.install_seed(&mw, fp_after, m, diag);
         }
 
         // Publish the new epoch (still under the state lock, so ranks
@@ -666,9 +697,11 @@ impl QueryService {
         let epoch = self.epoch_snapshot();
         match snapshot::load(path, &epoch.g)? {
             LoadOutcome::Restored(entries) => {
-                let n = entries.len();
+                let mut n = 0;
                 for (kind, mw, m) in entries {
-                    cache.import(kind, mw, m);
+                    // A factor build that fails leaves the walk out; it
+                    // rebuilds cold on first use.
+                    n += usize::from(cache.import(&epoch.g, kind, mw, m).is_ok());
                 }
                 self.snapshot_restored.store(true, Ordering::Relaxed);
                 self.last_snapshot_ns
@@ -879,8 +912,8 @@ mod tests {
         let (fp1, seq, path) = s.handle_mutate(&op, None).unwrap();
         assert_ne!(fp1, fp0, "fingerprint advances");
         assert_eq!(seq, 1);
-        // The warmed walk sees the new edge, so its entry is evicted.
-        assert_eq!(path, "evict");
+        // The warmed walk sees the new edge, so its entry is patched.
+        assert_eq!(path, "patch");
         let stats = s.stats_body(0, 1);
         assert_eq!(stats.mutations, 1);
         assert_eq!(stats.fingerprint, fp1);
@@ -905,6 +938,43 @@ mod tests {
                 (b.label.as_str(), b.value.as_str())
             );
             assert_eq!(a.score.to_bits(), b.score.to_bits(), "bit-identical");
+        }
+    }
+
+    #[test]
+    fn mutate_reinstalls_the_patched_seed_at_the_new_fingerprint() {
+        let g = mas_like();
+        let s = svc(&g);
+        let mw = MetaWalk::parse_in(&g, "conf paper dom").unwrap();
+        s.handle_rank("conf paper dom", "conf", "c0", 5, None)
+            .unwrap();
+        for op in [
+            MutationOp::AddEdge {
+                a: eref("paper", "p3"),
+                b: eref("dom", "d0"),
+            },
+            MutationOp::AddEntity {
+                label: "conf".to_owned(),
+                value: "c9".to_owned(),
+            },
+        ] {
+            let (_, _, path) = s.handle_mutate(&op, None).unwrap();
+            assert_eq!(path, "patch", "{op}");
+            // The next rank finds a seed for the new epoch: the patched
+            // cache matrix itself, with a diagonal equal to a cold one.
+            let g2 = s.graph();
+            let (m, diag) = s
+                .seed_parts(&mw, graph_fingerprint(&g2))
+                .expect("seed re-installed");
+            let cached = s
+                .state_lock()
+                .peek_shared(CacheKind::Informative, &mw)
+                .unwrap();
+            assert!(Arc::ptr_eq(&m, &cached), "seed and cache hold one matrix");
+            let cold = repsim_metawalk::informative_commuting(&g2, &mw);
+            assert_eq!(*m, cold);
+            let bits = |d: &[f64]| d.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&diag), bits(&cold.row_sq_sums()));
         }
     }
 

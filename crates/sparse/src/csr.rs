@@ -515,9 +515,117 @@ impl Csr {
 
     /// Per-row sums of squared values (used for `M·Mᵀ` diagonals).
     pub fn row_sq_sums(&self) -> Vec<f64> {
-        (0..self.nrows)
-            .map(|r| self.row(r).1.iter().map(|v| v * v).sum())
-            .collect()
+        (0..self.nrows).map(|r| self.row_sq_sum(r)).collect()
+    }
+
+    /// The sum of squared values of row `r`: entry `r` of
+    /// [`Csr::row_sq_sums`], summed in the same order, so a caller that
+    /// refreshes a few rows of a diagonal gets the same bits.
+    pub fn row_sq_sum(&self, r: usize) -> f64 {
+        self.row(r).1.iter().map(|v| v * v).sum()
+    }
+
+    /// The sub-matrix of the listed rows, in the listed order, with all
+    /// columns kept.
+    pub fn select_rows(&self, rows: &[usize]) -> Csr {
+        let mut row_ptr = Vec::with_capacity(rows.len() + 1);
+        row_ptr.push(0);
+        for &r in rows {
+            row_ptr.push(row_ptr[row_ptr.len() - 1] + self.row_ptr[r + 1] - self.row_ptr[r]);
+        }
+        let nnz = row_ptr[rows.len()];
+        let mut col_idx = Vec::with_capacity(nnz);
+        let mut values = Vec::with_capacity(nnz);
+        for &r in rows {
+            let (cols, vals) = self.row(r);
+            col_idx.extend_from_slice(cols);
+            values.extend_from_slice(vals);
+        }
+        Csr::from_parts(rows.len(), self.ncols, row_ptr, col_idx, values)
+    }
+
+    /// Replaces whole rows in place. The matrix first grows to
+    /// `nrows × ncols`, added rows empty; then row `rows[i]` becomes row
+    /// `i` of `new`, for every `i`. Every other row keeps its entries.
+    ///
+    /// The stored arrays are edited where they lie: the untouched runs
+    /// between replaced rows move by the accumulated change in length,
+    /// and a growing splice extends the arrays with `reserve`, never
+    /// with a second full copy.
+    ///
+    /// # Panics
+    /// If the shape would shrink, `rows` is not strictly increasing and
+    /// below `nrows`, or `new` does not have `rows.len()` rows and at
+    /// most `ncols` columns.
+    pub fn splice_rows(&mut self, nrows: usize, ncols: usize, rows: &[usize], new: &Csr) {
+        assert!(
+            nrows >= self.nrows && ncols >= self.ncols,
+            "splice cannot shrink {}x{} to {nrows}x{ncols}",
+            self.nrows,
+            self.ncols
+        );
+        assert!(
+            new.nrows == rows.len() && new.ncols <= ncols,
+            "splice of {} rows got a {}x{} replacement",
+            rows.len(),
+            new.nrows,
+            new.ncols
+        );
+        assert!(
+            rows.windows(2).all(|w| w[0] < w[1]) && rows.last().is_none_or(|&r| r < nrows),
+            "splice rows must be strictly increasing and below {nrows}"
+        );
+        let old_nnz = self.nnz();
+        self.row_ptr.resize(nrows + 1, old_nnz);
+        self.nrows = nrows;
+        self.ncols = ncols;
+
+        // The k-th untouched run `lo..hi` starts after `rows[k]` and
+        // shifts by `d`, the change in length of every replaced row so far.
+        let mut moves: Vec<(usize, usize, isize)> = Vec::with_capacity(rows.len());
+        let mut acc = 0isize;
+        for (k, &r) in rows.iter().enumerate() {
+            let end = rows.get(k + 1).map_or(nrows, |&next| next);
+            let old_len = self.row_ptr[r + 1] - self.row_ptr[r];
+            acc += (new.row_ptr[k + 1] - new.row_ptr[k]) as isize - old_len as isize;
+            moves.push((self.row_ptr[r + 1], self.row_ptr[end], acc));
+        }
+        let new_nnz = (old_nnz as isize + acc) as usize;
+        if new_nnz > old_nnz {
+            self.col_idx.reserve(new_nnz - old_nnz);
+            self.values.reserve(new_nnz - old_nnz);
+            self.col_idx.resize(new_nnz, 0);
+            self.values.resize(new_nnz, 0.0);
+        }
+        // Runs moving left go front to back and runs moving right back to
+        // front: no run lands on one that has yet to move.
+        for &(lo, hi, d) in moves.iter().filter(|m| m.2 < 0) {
+            let to = (lo as isize + d) as usize;
+            self.col_idx.copy_within(lo..hi, to);
+            self.values.copy_within(lo..hi, to);
+        }
+        for &(lo, hi, d) in moves.iter().rev().filter(|m| m.2 > 0) {
+            let to = (lo as isize + d) as usize;
+            self.col_idx.copy_within(lo..hi, to);
+            self.values.copy_within(lo..hi, to);
+        }
+        self.col_idx.truncate(new_nnz);
+        self.values.truncate(new_nnz);
+
+        // Row ends from the first replaced row on move with their run.
+        for (k, &r) in rows.iter().enumerate() {
+            let end = rows.get(k + 1).map_or(nrows, |&next| next);
+            for p in &mut self.row_ptr[r + 1..=end] {
+                *p = (*p as isize + moves[k].2) as usize;
+            }
+        }
+        for (k, &r) in rows.iter().enumerate() {
+            let (cols, vals) = new.row(k);
+            let lo = self.row_ptr[r];
+            self.col_idx[lo..lo + cols.len()].copy_from_slice(cols);
+            self.values[lo..lo + vals.len()].copy_from_slice(vals);
+        }
+        self.debug_validate();
     }
 
     /// Returns a copy with each row scaled so it sums to one.

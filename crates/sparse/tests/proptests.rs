@@ -11,7 +11,9 @@
 //! 5. rows that cancel to exact zero, wholly or in part, at the first and
 //!    last rows and at every band edge, leave a sound, gap-free result
 //!    equal to the dense reference at every thread count.
-//! 6. the binary snapshot record round-trips bit for bit and byte for byte.
+//! 6. the binary snapshot record round-trips bit for bit and byte for byte;
+//! 7. the in-place row splice equals a rebuild from triplets, whatever
+//!    mix of growing, shrinking and appended rows it is given.
 
 // Tests may panic freely: the workspace panic-freedom lints target
 // library code, not assertions.
@@ -206,6 +208,48 @@ proptest! {
             }
         }
         prop_assert_eq!(back.encode(), bytes);
+    }
+
+    // The in-place row splice equals rebuilding the spliced matrix from
+    // triplets: any row set (rows growing, shrinking, emptied, appended
+    // past the old end) and any growth in both dimensions.
+    #[test]
+    fn row_splice_equals_a_rebuild(
+        nrows in 1..10usize,
+        ncols in 1..10usize,
+        grow in (0..4usize, 0..4usize),
+        raw in triplets(),
+        mask in 0..=u32::MAX,
+        fresh in triplets(),
+    ) {
+        let m = build(nrows, ncols, &raw);
+        let (rows_after, cols_after) = (nrows + grow.0, ncols + grow.1);
+        let rows: Vec<usize> = (0..rows_after).filter(|r| mask >> r & 1 == 1).collect();
+        let new = if rows.is_empty() {
+            Csr::zeros(0, cols_after)
+        } else {
+            build(rows.len(), cols_after, &fresh)
+        };
+        let mut spliced = m.clone();
+        spliced.splice_rows(rows_after, cols_after, &rows, &new);
+        prop_assert!(spliced.validate().is_ok(), "{:?}", spliced.validate());
+
+        let kept = m
+            .iter()
+            .filter(|(r, _, _)| !rows.contains(r))
+            .map(|(r, c, v)| (r as u32, c as u32, v));
+        let replaced = new.iter().map(|(k, c, v)| (rows[k] as u32, c as u32, v));
+        let expected = Csr::from_triplets(rows_after, cols_after, kept.chain(replaced));
+        prop_assert_eq!(&spliced, &expected);
+        let bits = |m: &Csr| m.iter().map(|(r, c, v)| (r, c, v.to_bits())).collect::<Vec<_>>();
+        prop_assert_eq!(bits(&spliced), bits(&expected));
+        // Selecting the replaced rows that existed before reads them back.
+        let old_rows: Vec<usize> = rows.iter().copied().filter(|&r| r < nrows).collect();
+        let picked = m.select_rows(&old_rows);
+        prop_assert!(picked.validate().is_ok());
+        for (k, &r) in old_rows.iter().enumerate() {
+            prop_assert_eq!(picked.row(k), m.row(r));
+        }
     }
 
     // Same all-or-nothing property through the chain planner: whatever

@@ -7,10 +7,12 @@
 //! Two layers are pinned:
 //!
 //! 1. **Maintainer level** — `DeltaMaintainer` over a `CommutingCache`:
-//!    after every single operation, every surviving cache entry equals
-//!    `informative_commuting` recomputed from scratch (the "bit-identical
-//!    or absent, never stale" contract), and the recovered WAL replays
-//!    into a graph with the acknowledged fingerprint.
+//!    after every single operation, every warmed entry, plain and
+//!    informative, is still present (an unlimited budget never fails a
+//!    patch) and equals its commuting matrix recomputed from scratch,
+//!    bit for bit, and the recovered WAL replays into a graph with the
+//!    acknowledged fingerprint. The walks cover same-label hops, a
+//!    \*-label, a single label and an asymmetric pair of end labels.
 //! 2. **Service level** — `QueryService::handle_mutate` sequences: the
 //!    warm service ranks exactly like a cold service built on the final
 //!    graph, and a fresh service recovering the same WAL converges to
@@ -34,7 +36,9 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use proptest::prelude::*;
 use repsim_graph::mutation::{self, MutationOp, NodeRef, Touch};
 use repsim_graph::{Graph, GraphBuilder};
-use repsim_metawalk::commuting::{informative_commuting, CacheKind, CommutingCache};
+use repsim_metawalk::commuting::{
+    informative_commuting, plain_commuting, CacheKind, CommutingCache,
+};
 use repsim_metawalk::delta::DeltaMaintainer;
 use repsim_metawalk::MetaWalk;
 use repsim_serve::snapshot::graph_fingerprint;
@@ -52,6 +56,8 @@ enum PlanOp {
     AddEdge(u8, u8),
     /// Unwire paper `i` from cite node `j` if the edge exists.
     RemoveEdge(u8, u8),
+    /// Wire paper `i` to venue `j`, or unwire it if already wired.
+    ToggleVenue(u8, u8),
 }
 
 fn plan_strategy(max_ops: usize) -> impl Strategy<Value = Vec<PlanOp>> {
@@ -60,16 +66,19 @@ fn plan_strategy(max_ops: usize) -> impl Strategy<Value = Vec<PlanOp>> {
             (0u8..8).prop_map(PlanOp::AddEntity),
             (0u8..16, 0u8..16).prop_map(|(i, j)| PlanOp::AddEdge(i, j)),
             (0u8..16, 0u8..16).prop_map(|(i, j)| PlanOp::RemoveEdge(i, j)),
+            (0u8..16, 0u8..4).prop_map(|(i, j)| PlanOp::ToggleVenue(i, j)),
         ],
         1..max_ops,
     )
 }
 
-/// Papers wired through cite nodes; every cite node has degree two so
-/// the §2.2 model assumptions hold at the seed.
+/// Papers wired through cite nodes, each published at one of two
+/// venues; every cite node has degree two so the §2.2 model assumptions
+/// hold at the seed.
 fn seed_graph() -> Graph {
     let mut b = GraphBuilder::new();
     let paper = b.entity_label("paper");
+    let venue = b.entity_label("venue");
     let cite = b.relationship_label("cite");
     let p: Vec<_> = (0..5).map(|i| b.entity(paper, &format!("p{i}"))).collect();
     for (x, y) in [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)] {
@@ -77,14 +86,31 @@ fn seed_graph() -> Graph {
         b.edge(p[x], c).unwrap();
         b.edge(c, p[y]).unwrap();
     }
+    let v: Vec<_> = (0..2).map(|i| b.entity(venue, &format!("v{i}"))).collect();
+    for (i, &pi) in p.iter().enumerate() {
+        b.edge(pi, v[i % 2]).unwrap();
+    }
     b.build()
 }
+
+/// The maintained walks: same-label hops through a relationship label,
+/// \*-labels in a relationship run and between entities, a single
+/// label, and end labels that differ.
+const MAINTAINED_WALKS: [&str; 6] = [
+    "paper cite paper",
+    "paper cite paper cite paper",
+    "paper cite *paper cite paper",
+    "venue *paper venue",
+    "paper",
+    "venue paper cite paper",
+];
 
 /// Resolves one abstract step into a concrete, valid [`MutationOp`]
 /// against `g`, or `None` when the step is a no-op at this point.
 fn concretize(g: &Graph, op: &PlanOp) -> Option<MutationOp> {
     let paper = g.labels().get("paper").unwrap();
     let cite = g.labels().get("cite").unwrap();
+    let venue = g.labels().get("venue").unwrap();
     match op {
         PlanOp::AddEntity(n) => {
             let value = format!("x{n}");
@@ -108,7 +134,24 @@ fn concretize(g: &Graph, op: &PlanOp) -> Option<MutationOp> {
                 _ => None,
             }
         }
+        PlanOp::ToggleVenue(i, j) => {
+            let papers = g.nodes_of_label(paper);
+            let venues = g.nodes_of_label(venue);
+            let p = papers[*i as usize % papers.len()];
+            let v = venues[*j as usize % venues.len()];
+            let (a, b) = (NodeRef::of(g, p), NodeRef::of(g, v));
+            Some(match g.has_edge(p, v) {
+                true => MutationOp::RemoveEdge { a, b },
+                false => MutationOp::AddEdge { a, b },
+            })
+        }
     }
+}
+
+/// Every stored entry with its value's bit pattern.
+fn bits(m: &repsim_sparse::Csr) -> (usize, usize, Vec<(usize, usize, u64)>) {
+    let entries = m.iter().map(|(r, c, v)| (r, c, v.to_bits())).collect();
+    (m.nrows(), m.ncols(), entries)
 }
 
 /// A fresh WAL path for one proptest case (cases run concurrently).
@@ -126,19 +169,24 @@ fn wal_path(tag: &str) -> PathBuf {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// Maintainer-level gate: bit-identical or absent after every op,
-    /// and the WAL replays to the acknowledged fingerprint.
+    /// Maintainer-level gate: every warmed entry present and
+    /// bit-identical after every op, and the WAL replays to the
+    /// acknowledged fingerprint.
     #[test]
     fn maintained_index_is_bit_identical_to_cold_rebuild(plan in plan_strategy(12)) {
         let g0 = seed_graph();
-        let walks: Vec<MetaWalk> = ["paper cite paper", "paper cite paper cite paper"]
+        let walks: Vec<MetaWalk> = MAINTAINED_WALKS
             .iter()
             .map(|w| MetaWalk::parse_in(&g0, w).unwrap())
             .collect();
         let mut cache = CommutingCache::new();
         for mw in &walks {
             cache.informative(&g0, mw);
+            if !mw.has_star() {
+                cache.plain(&g0, mw);
+            }
         }
+        let warmed = cache.len();
         let mut maint = DeltaMaintainer::new();
         let budget = Budget::unlimited();
         let path = wal_path("maint");
@@ -162,18 +210,18 @@ proptest! {
             }
             cur = next;
             applied += 1;
-            // The gate: never stale. Every surviving entry equals a cold
-            // recomputation on the post-mutation graph, bit for bit.
+            // The gate: every warmed entry survives the op and equals a
+            // cold recomputation on the post-mutation graph, bit for bit.
+            prop_assert_eq!(cache.len(), warmed, "step {}: an entry was evicted", step);
             for mw in &walks {
-                if let Some(m) = cache.peek(CacheKind::Informative, mw) {
-                    prop_assert_eq!(m, &informative_commuting(&cur, mw), "step {}", step);
+                let mut kinds = vec![(CacheKind::Informative, informative_commuting(&cur, mw))];
+                if !mw.has_star() {
+                    kinds.push((CacheKind::Plain, plain_commuting(&cur, mw)));
                 }
-            }
-            // Re-warm evicted entries on alternating steps so later edge
-            // ops exercise the delta/rebuild paths, not just eviction.
-            if step % 2 == 0 {
-                for mw in &walks {
-                    cache.informative(&cur, mw);
+                for (kind, cold) in kinds {
+                    let m = cache.peek(kind, mw);
+                    prop_assert!(m.is_some(), "step {}: {:?} {} absent", step, kind, mw);
+                    prop_assert_eq!(bits(m.unwrap()), bits(&cold), "step {}: {:?} {}", step, kind, mw);
                 }
             }
         }

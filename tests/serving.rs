@@ -162,7 +162,7 @@ proptest! {
             if kind == CacheKind::Informative && mw == half {
                 half_matrix = Some(m.clone());
             }
-            reimported.import(kind, mw, m);
+            reimported.import(&g, kind, mw, m).expect("factors rebuild");
         }
         let b = dir.join("b.snap");
         snapshot::save(&b, &g, &reimported, &budget).expect("save reimported");

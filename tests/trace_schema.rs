@@ -211,11 +211,15 @@ fn profile_mutate_trace_pins_wal_and_delta_names() {
         );
     }
     // Pinned metric names: the WAL and delta counters the leg must move.
+    // Both edge ops patch the warmed walk, so the leg moves `applied`;
+    // `repsim.cache.delta.evictions` is pinned where a patch fails, in
+    // `repsim_metawalk::delta`'s
+    // `cancelled_patch_evicts_and_the_next_lookup_rebuilds_failpoint`.
     for counter in [
         "repsim.graph.wal.appends",
         "repsim.graph.wal.bytes",
         "repsim.graph.wal.replayed",
-        "repsim.cache.delta.evictions",
+        "repsim.cache.delta.applied",
     ] {
         assert!(
             counters.iter().any(|n| n == counter),
