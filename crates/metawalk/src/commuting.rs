@@ -127,7 +127,7 @@ fn compute(
 }
 
 /// The commuting matrix of `mw` plus the chain factors it is the
-/// product of ([`factors`]); a single-label walk has no factors and its
+/// product of ([`factors_in`]); a single-label walk has no factors and its
 /// matrix is the identity.
 fn build(
     g: &Graph,
