@@ -91,14 +91,14 @@ pub const ENUM_AUDITS: &[EnumConfig] = &[
 
 /// The declared global lock order of the serve layer (`RA05xx`).
 ///
-/// `state(10) < wal(20) < seeds(30) < epoch(40)`; the admission queue's
+/// `state(10) < wal(20) < epoch(40)`; the admission queue's
 /// `inner` mutex, the breaker's per-class mutexes and the coordinator's
 /// per-replica `idle` pool are *leaves* (rank 1000): nothing may be
 /// acquired while one is held.
 pub const SERVE_LOCK_ORDER: &[LockOrderConfig] = &[
     LockOrderConfig {
         file: "crates/serve/src/service.rs",
-        ranks: &[("state", 10), ("wal", 20), ("seeds", 30), ("epoch", 40)],
+        ranks: &[("state", 10), ("wal", 20), ("epoch", 40)],
         wrappers: &[
             Wrapper {
                 method: "state_lock",
@@ -133,14 +133,6 @@ pub const SERVE_LOCK_ORDER: &[LockOrderConfig] = &[
             rank: 1000,
             transient: false,
         }],
-    },
-    LockOrderConfig {
-        file: "crates/serve/src/singleflight.rs",
-        // The flight registry is a leaf: a leader completes its build
-        // *outside* the registry lock (only the membership set is
-        // guarded), so nothing may be acquired while it is held.
-        ranks: &[("flights", 1000), ("done", 1000)],
-        wrappers: &[],
     },
     LockOrderConfig {
         file: "crates/serve/src/coord.rs",

@@ -1,11 +1,11 @@
 //! `RA05xx` — lock-order discipline in the serve layer.
 //!
-//! The serve layer holds up to four locks at once on the mutation path.
+//! The serve layer holds up to three locks at once on the mutation path.
 //! Deadlock freedom rests on one global acquisition order, declared in
 //! [`crate::SERVE_LOCK_ORDER`] and checked here lexically:
 //!
 //! ```text
-//! state(10) < wal(20) < seeds(30) < epoch(40)      service-level locks
+//! state(10) < wal(20) < epoch(40)                 service-level locks
 //! queue.inner, breaker.rank, breaker.mutate, coord.idle = leaf (1000)
 //! ```
 //!

@@ -17,7 +17,12 @@
 //! it). A ranking query then costs one sparse mat-vec over `M̂_q` instead
 //! of a full sparse-matrix product — the ablation benchmark quantifies
 //! the gap, and the unit tests assert score equality against
-//! [`crate::rpathsim::RPathSim`].
+//! [`crate::rpathsim::RPathSim`]. A ranking restricted to a band of
+//! candidates sweeps only the band's rows.
+//!
+//! `repsim-serve` keeps no engine between requests: each rank builds one
+//! over the `(M̂_q, diag)` pair a commuting-cache entry holds
+//! ([`QueryEngine::try_from_shared`]), which costs a shape check.
 
 use std::sync::Arc;
 
@@ -33,8 +38,7 @@ use repsim_baselines::ranking::{RankedList, SimilarityAlgorithm};
 pub struct QueryEngine<'g> {
     g: &'g Graph,
     half: MetaWalk,
-    /// Shared so `repsim-serve` can cache `(matrix, diag)` seeds across
-    /// graph epochs and stamp out per-request engines without copying.
+    /// Shared with the commuting-cache entry it came from, if any.
     m_half: Arc<Csr>,
     /// `M̂_p(e,e)` per source-label index.
     diag: Arc<Vec<f64>>,
@@ -120,8 +124,8 @@ impl<'g> QueryEngine<'g> {
     }
 
     /// Constructs an engine from a shared half matrix and its precomputed
-    /// row-norm diagonal — the zero-copy epoch hook used by `repsim-serve`,
-    /// which keeps `(Arc<Csr>, Arc<Vec<f64>>)` seeds per walk and stamps
+    /// row-norm diagonal — the zero-copy hook used by `repsim-serve`,
+    /// which takes both from the walk's commuting-cache entry and stamps
     /// out a borrowing engine per request.
     ///
     /// Shape is validated like [`QueryEngine::try_from_half_matrix`];
@@ -163,13 +167,6 @@ impl<'g> QueryEngine<'g> {
         &self.m_half
     }
 
-    /// The shared `(matrix, diag)` pair backing this engine — cheap to
-    /// clone and free of the graph lifetime, so a server can park it in a
-    /// cache keyed by walk and graph fingerprint.
-    pub fn shared_parts(&self) -> (Arc<Csr>, Arc<Vec<f64>>) {
-        (Arc::clone(&self.m_half), Arc::clone(&self.diag))
-    }
-
     /// The closed meta-walk actually scored.
     pub fn closure(&self) -> MetaWalk {
         self.half.symmetric_closure()
@@ -200,13 +197,14 @@ impl<'g> QueryEngine<'g> {
         2.0 * dot / denom
     }
 
-    /// All cross counts `M̂_p(e, ·)` for one query, via a single pass over
-    /// the half matrix (the sparse mat-vec path used by `rank`).
+    /// The cross counts `M̂_p(e, f)` for one query against the rows
+    /// `lo..hi` of the half matrix, via a single pass over those rows (the
+    /// sparse mat-vec path used by `rank`); entry `i` is row `lo + i`.
     ///
     /// The row sweep splits into contiguous bands across the thread
     /// budget; each band writes a disjoint slice of the output, so the
     /// result is identical for any thread count.
-    fn cross_counts(&self, e: NodeId) -> Vec<f64> {
+    fn cross_counts(&self, e: NodeId, (lo, hi): (usize, usize)) -> Vec<f64> {
         let qi = self.g.index_in_label(e);
         let (qc, qv) = self.m_half.row(qi);
         // dot of every row with row_e: accumulate column contributions.
@@ -214,15 +212,14 @@ impl<'g> QueryEngine<'g> {
         for (&c, &v) in qc.iter().zip(qv) {
             weights[c as usize] = v;
         }
-        let nrows = self.m_half.nrows();
-        let mut out = vec![0.0; nrows];
+        let mut out = vec![0.0; hi - lo];
         // Banding pays off only when the sweep dwarfs thread start-up.
         let threads = if self.m_half.nnz() < 4096 {
             1
         } else {
             self.par.threads()
         };
-        let bands = repsim_sparse::par::chunks(nrows, threads);
+        let bands = repsim_sparse::par::chunks(hi - lo, threads);
         let sweep = |lo: usize, band: &mut [f64]| {
             for (r, o) in (lo..).zip(band.iter_mut()) {
                 let (cols, vals) = self.m_half.row(r);
@@ -234,15 +231,15 @@ impl<'g> QueryEngine<'g> {
             }
         };
         if bands.len() <= 1 {
-            sweep(0, &mut out);
+            sweep(lo, &mut out);
         } else {
             let mut rest = out.as_mut_slice();
             std::thread::scope(|scope| {
-                for &(lo, hi) in &bands {
-                    let (band, tail) = std::mem::take(&mut rest).split_at_mut(hi - lo);
+                for &(blo, bhi) in &bands {
+                    let (band, tail) = std::mem::take(&mut rest).split_at_mut(bhi - blo);
                     rest = tail;
                     let sweep = &sweep;
-                    scope.spawn(move || sweep(lo, band));
+                    scope.spawn(move || sweep(lo + blo, band));
                 }
             });
         }
@@ -261,8 +258,9 @@ impl QueryEngine<'_> {
     /// [`QueryEngine::rank_ref`] restricted to a contiguous index band of
     /// the candidate label's node slice (`band = (lo, hi)`, half-open over
     /// `g.nodes_of_label(target_label)`). A fleet shard ranks only its own
-    /// band; the coordinator merges the per-band top-k lists. `None` ranks
-    /// every candidate — identical to [`QueryEngine::rank_ref`].
+    /// band, and sweeps only the band's rows of the half matrix; the
+    /// coordinator merges the per-band top-k lists. `None` ranks every
+    /// candidate — identical to [`QueryEngine::rank_ref`].
     ///
     /// # Panics
     /// If the band exceeds the candidate slice.
@@ -289,19 +287,21 @@ impl QueryEngine<'_> {
             rank_span.attr("half_nnz", self.m_half.nnz());
         }
         let qi = self.g.index_in_label(query);
-        let cross = self.cross_counts(query);
         let qd = self.diag[qi];
         let candidates = self.g.nodes_of_label(target_label);
         let (lo, hi) = band.unwrap_or((0, candidates.len()));
+        let candidates = &candidates[lo..hi];
+        // Candidate `i` of the label is row `i` of the half matrix.
+        let cross = self.cross_counts(query, (lo, hi));
         RankedList::from_scores(
             self.g,
-            candidates[lo..hi].iter().map(|&n| {
+            candidates.iter().zip(cross).map(|(&n, cross)| {
                 let j = self.g.index_in_label(n);
                 let denom = qd + self.diag[j];
                 let s = if denom == 0.0 {
                     0.0
                 } else {
-                    2.0 * cross[j] / denom
+                    2.0 * cross / denom
                 };
                 (n, s)
             }),

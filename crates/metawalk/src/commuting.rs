@@ -24,8 +24,9 @@
 //! per segment: the stretch of the walk that closes at each plain entity
 //! label, with the per-hop diagonal removal and the \*-run binarization
 //! already applied. The final cost-ordered chain product then multiplies
-//! them. [`CommutingCache`] keeps each entry's factors beside its matrix,
-//! so [`crate::delta`] can patch the rows a mutation reaches.
+//! them. [`CommutingCache`] keeps each entry's factors and row norms
+//! beside its matrix, so [`crate::delta`] can patch the rows a mutation
+//! reaches and a ranking reads its PathSim denominators off the entry.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -303,12 +304,13 @@ pub fn count_between(
 /// same plan (final paragraph of §4.3). The cache makes repeated queries
 /// over the same meta-walk set amortize the matrix chain.
 ///
-/// Entries are held as `Arc<Csr>`, so a caller that keeps a matrix
-/// beyond one lookup ([`CommutingCache::try_informative_shared`]) shares
-/// the cache's allocation instead of copying it. Each entry also keeps
-/// the chain factors its matrix is the product of, so
-/// [`crate::delta::DeltaMaintainer`] can patch the rows a mutation
-/// reaches instead of dropping the matrix.
+/// Each entry holds its matrix, its row norms `‖row_r‖²` (the PathSim
+/// denominators, [`Csr::row_sq_sums`]) and the chain factors the matrix
+/// is the product of, so [`crate::delta::DeltaMaintainer`] can patch the
+/// rows a mutation reaches, norms included, instead of dropping the
+/// entry. Matrix and norms are held as `Arc`s, so a caller that keeps
+/// them beyond one lookup ([`CommutingCache::try_informative_shared`])
+/// shares the cache's allocations instead of copying them.
 ///
 /// Budgeted misses are abort-safe: a build that fails with an
 /// [`ExecError`] inserts **nothing** — a matrix enters the cache only
@@ -321,11 +323,23 @@ pub struct CommutingCache {
     stats: CacheStats,
 }
 
-/// One cached walk: its matrix and the chain factors (one per segment,
-/// walk order) whose product it is.
+/// One cached walk: its matrix, the matrix's row norms and the chain
+/// factors (one per segment, walk order) whose product it is.
 pub(crate) struct Entry {
     pub(crate) m: Arc<Csr>,
+    /// `m.row_sq_sums()`, kept equal to it bit for bit.
+    pub(crate) diag: Arc<Vec<f64>>,
     pub(crate) factors: Vec<Csr>,
+}
+
+impl Entry {
+    fn new(m: Arc<Csr>, factors: Vec<Csr>) -> Entry {
+        Entry {
+            diag: Arc::new(m.row_sq_sums()),
+            m,
+            factors,
+        }
+    }
 }
 
 /// Lifetime statistics of one [`CommutingCache`]. The same counts are
@@ -401,7 +415,7 @@ impl CommutingCache {
         budget: &Budget,
     ) -> Result<&'a Csr, ExecError> {
         self.lookup(CacheKind::Plain, g, mw, par, budget)
-            .map(|m| &**m)
+            .map(|e| &*e.m)
     }
 
     /// The informative commuting matrix of `mw`, computed on first use.
@@ -426,22 +440,22 @@ impl CommutingCache {
         budget: &Budget,
     ) -> Result<&'a Csr, ExecError> {
         self.lookup(CacheKind::Informative, g, mw, par, budget)
-            .map(|m| &**m)
+            .map(|e| &*e.m)
     }
 
-    /// [`CommutingCache::try_informative_with`] returning a handle on the
-    /// cached allocation itself: every lookup of one entry returns the
-    /// same `Arc`, so a caller that keeps the matrix (a query engine, a
-    /// serving seed) holds no second copy.
+    /// [`CommutingCache::try_informative_with`] returning handles on the
+    /// entry's matrix and row norms themselves: every lookup of one entry
+    /// returns the same `Arc`s, so a caller that keeps them (a query
+    /// engine ranking outside the cache's lock) holds no second copy.
     pub fn try_informative_shared(
         &mut self,
         g: &Graph,
         mw: &MetaWalk,
         par: Parallelism,
         budget: &Budget,
-    ) -> Result<Arc<Csr>, ExecError> {
+    ) -> Result<(Arc<Csr>, Arc<Vec<f64>>), ExecError> {
         self.lookup(CacheKind::Informative, g, mw, par, budget)
-            .map(Arc::clone)
+            .map(|e| (Arc::clone(&e.m), Arc::clone(&e.diag)))
     }
 
     fn lookup<'a>(
@@ -451,7 +465,7 @@ impl CommutingCache {
         mw: &MetaWalk,
         par: Parallelism,
         budget: &Budget,
-    ) -> Result<&'a Arc<Csr>, ExecError> {
+    ) -> Result<&'a Entry, ExecError> {
         let mut lookup = repsim_obs::span("repsim.metawalk.cache.lookup");
         let hit = self.map(kind).contains_key(mw);
         if lookup.is_active() {
@@ -475,19 +489,14 @@ impl CommutingCache {
                 check_plain(mw)?;
             }
             let (m, factors) = build(g, mw, kind == CacheKind::Informative, par, budget)?;
-            self.map_mut(kind).insert(
-                mw.clone(),
-                Entry {
-                    m: Arc::new(m),
-                    factors,
-                },
-            );
+            self.map_mut(kind)
+                .insert(mw.clone(), Entry::new(Arc::new(m), factors));
             self.stats.inserts += 1;
             CACHE_INSERT.add(1);
         }
         #[allow(clippy::expect_used)] // hit or inserted just above
         let entry = self.map(kind).get(mw).expect("just inserted");
-        Ok(&entry.m)
+        Ok(entry)
     }
 
     /// Number of cached matrices.
@@ -520,19 +529,19 @@ impl CommutingCache {
         self.map(kind).get(mw).map(|e| &*e.m)
     }
 
-    /// [`CommutingCache::peek`] returning a handle on the cached
-    /// allocation, like [`CommutingCache::try_informative_shared`].
-    pub fn peek_shared(&self, kind: CacheKind, mw: &MetaWalk) -> Option<Arc<Csr>> {
-        self.map(kind).get(mw).map(|e| Arc::clone(&e.m))
+    /// The row norms kept beside a cached matrix, like
+    /// [`CommutingCache::peek`].
+    pub fn peek_diag(&self, kind: CacheKind, mw: &MetaWalk) -> Option<&[f64]> {
+        self.map(kind).get(mw).map(|e| e.diag.as_slice())
     }
 
     /// Inserts a prebuilt matrix — the snapshot import hook. The matrix
     /// must have been produced by the matching build for `mw` on `g`
     /// (snapshot loading verifies this via checksums and graph
     /// fingerprints before calling). The entry's chain factors are
-    /// rebuilt from `g`, which is milliseconds next to the product; a
-    /// factor build that fails inserts nothing. Counts as an insert;
-    /// replaces any existing entry.
+    /// rebuilt from `g`, which is milliseconds next to the product, and
+    /// its row norms are summed from `m`; a factor build that fails
+    /// inserts nothing. Counts as an insert; replaces any existing entry.
     pub fn import(
         &mut self,
         g: &Graph,
@@ -548,13 +557,7 @@ impl CommutingCache {
             &Budget::unlimited(),
             &mut SpgemmArena::new(),
         )?;
-        self.map_mut(kind).insert(
-            mw,
-            Entry {
-                m: m.into(),
-                factors,
-            },
-        );
+        self.map_mut(kind).insert(mw, Entry::new(m.into(), factors));
         self.stats.inserts += 1;
         CACHE_INSERT.add(1);
         Ok(())
@@ -867,15 +870,17 @@ mod tests {
         let mw = MetaWalk::parse_in(&g, "paper cite paper cite paper").unwrap();
         let mut cache = CommutingCache::new();
         let (par, budget) = (Parallelism::serial(), Budget::unlimited());
-        let a = cache.try_informative_shared(&g, &mw, par, &budget).unwrap();
-        let b = cache.try_informative_shared(&g, &mw, par, &budget).unwrap();
+        let (a, da) = cache.try_informative_shared(&g, &mw, par, &budget).unwrap();
+        let (b, db) = cache.try_informative_shared(&g, &mw, par, &budget).unwrap();
         assert!(Arc::ptr_eq(&a, &b), "both lookups share the cached matrix");
+        assert!(Arc::ptr_eq(&da, &db), "and the cached row norms");
         assert!(std::ptr::eq(
             &*a,
             cache.peek(CacheKind::Informative, &mw).unwrap()
         ));
         assert_eq!((cache.stats().misses, cache.stats().hits), (1, 1));
         assert_eq!(*a, informative_commuting(&g, &mw));
+        assert_eq!(*da, a.row_sq_sums());
     }
 
     #[test]

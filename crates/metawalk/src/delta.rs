@@ -16,21 +16,23 @@
 //! can change. [`DeltaMaintainer`] rebuilds the touched factors on the
 //! new graph, diffs their rows against the stored ones, finds `R`,
 //! chains rows `R` of `S′₁` through `S′₂⋯S′_m` with the SpGEMM kernel and
-//! splices the result into `H` ([`Csr::splice_rows`]). The new rows are
-//! bit-identical to a cold build: every entry is an integer count below
-//! 2^53, so any association of the product gives the same bits.
+//! splices the result into `H` ([`Csr::splice_rows`]), then re-sums the
+//! entry's row norms on `R` only. The new rows are bit-identical to a
+//! cold build: every entry is an integer count below 2^53, so any
+//! association of the product gives the same bits.
 //!
 //! A node addition to label `l` adds a node without edges. Every stored
-//! matrix whose rows are labelled `l` gains an empty row and every one
-//! whose columns are labelled `l` an empty column; a single-label walk's
-//! identity gains a diagonal 1. A walk with `l` only inside keeps `H`.
+//! matrix whose rows are labelled `l` gains an empty row (norm 0) and
+//! every one whose columns are labelled `l` an empty column; a
+//! single-label walk's identity gains a diagonal 1 (norm 1). A walk with
+//! `l` only inside keeps `H`.
 //!
-//! `H` is edited through `Arc::make_mut`: in place when the cache holds
-//! the only handle, copy-on-write when an engine of the previous graph
-//! still reads it. A patch that fails (its budget trips) evicts the
-//! entry, which rebuilds cold on next use, so every entry is
-//! bit-identical to a cold rebuild on the current graph or absent —
-//! never stale. Measurements are in DESIGN.md, "Index maintenance by
+//! `H` and its norms are edited through `Arc::make_mut`: in place when
+//! the cache holds the only handle, copy-on-write when an engine of the
+//! previous graph still reads them. A patch that fails (its budget
+//! trips) evicts the entry, which rebuilds cold on next use, so every
+//! entry is bit-identical to a cold rebuild on the current graph or
+//! absent — never stale. Measurements are in DESIGN.md, "Index maintenance by
 //! row patching".
 
 use std::sync::Arc;
@@ -46,22 +48,13 @@ use crate::metawalk::{MetaWalk, Step};
 static DELTA_APPLIED: CounterHandle = CounterHandle::new("repsim.cache.delta.applied");
 static DELTA_EVICTIONS: CounterHandle = CounterHandle::new("repsim.cache.delta.evictions");
 
-/// Whether a walk contains `(a, b)` as an adjacent label pair (in either
-/// order) — the reach of a single edge change.
-pub fn walk_touches_edge(mw: &MetaWalk, a: LabelId, b: LabelId) -> bool {
-    run_touches_edge(mw.steps(), a, b)
-}
-
+/// Whether a run of steps contains `(a, b)` as an adjacent label pair
+/// (in either order) — the reach of a single edge change.
 fn run_touches_edge(steps: &[Step], a: LabelId, b: LabelId) -> bool {
     steps.windows(2).any(|w| {
         let (x, y) = (w[0].label(), w[1].label());
         (x == a && y == b) || (x == b && y == a)
     })
-}
-
-/// Whether a walk mentions a label at all — the reach of a node addition.
-pub fn walk_mentions(mw: &MetaWalk, l: LabelId) -> bool {
-    mw.steps().iter().any(|s| s.label() == l)
 }
 
 /// What happened across the cache for one mutation.
@@ -74,8 +67,6 @@ pub struct MaintainReport {
     pub evicted: usize,
     /// Entries whose walk the mutation cannot reach.
     pub untouched: usize,
-    /// Per patched entry, the rows of its matrix that were recomputed.
-    pub reached: Vec<Reach>,
 }
 
 impl MaintainReport {
@@ -91,18 +82,6 @@ impl MaintainReport {
             "none"
         }
     }
-}
-
-/// The rows one patch recomputed in one entry's matrix.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Reach {
-    /// Which map the entry is in.
-    pub kind: CacheKind,
-    /// The entry's walk.
-    pub walk: MetaWalk,
-    /// Recomputed rows, increasing. Every other row kept its entries;
-    /// rows a node addition appended empty are not listed.
-    pub rows: Vec<usize>,
 }
 
 /// Keeps a [`CommutingCache`] consistent across mutations by patching
@@ -127,9 +106,11 @@ impl DeltaMaintainer {
         b: LabelId,
         budget: &Budget,
     ) -> MaintainReport {
-        maintain(cache, |kind, mw, entry| match walk_touches_edge(mw, a, b) {
-            true => patch_edge(entry, g_new, kind, mw, a, b, budget).map(Some),
-            false => Ok(None),
+        maintain(cache, |kind, mw, entry| {
+            match run_touches_edge(mw.steps(), a, b) {
+                true => patch_edge(entry, g_new, kind, mw, a, b, budget).map(|()| true),
+                false => Ok(false),
+            }
         })
     }
 
@@ -137,16 +118,21 @@ impl DeltaMaintainer {
     /// to `l`, which has no edges yet. Never fails.
     pub fn apply_node_change(&mut self, cache: &mut CommutingCache, l: LabelId) -> MaintainReport {
         maintain(cache, |_, mw, entry| {
-            Ok(walk_mentions(mw, l).then(|| grow(entry, mw, l)))
+            // A node addition reaches every walk that mentions its label.
+            let reached = mw.steps().iter().any(|s| s.label() == l);
+            if reached {
+                grow(entry, mw, l);
+            }
+            Ok(reached)
         })
     }
 }
 
-/// Runs `patch` over every entry: `Ok(None)` leaves it untouched,
-/// `Ok(Some(rows))` reports it patched, an error evicts it.
+/// Runs `patch` over every entry: `Ok(false)` leaves it untouched,
+/// `Ok(true)` reports it patched, an error evicts it.
 fn maintain(
     cache: &mut CommutingCache,
-    mut patch: impl FnMut(CacheKind, &MetaWalk, &mut Entry) -> Result<Option<Vec<usize>>, ExecError>,
+    mut patch: impl FnMut(CacheKind, &MetaWalk, &mut Entry) -> Result<bool, ExecError>,
 ) -> MaintainReport {
     let mut span = repsim_obs::span("repsim.metawalk.delta.apply");
     let keys: Vec<(CacheKind, MetaWalk)> = cache
@@ -159,11 +145,10 @@ fn maintain(
             continue;
         };
         match patch(kind, &walk, entry) {
-            Ok(None) => report.untouched += 1,
-            Ok(Some(rows)) => {
+            Ok(false) => report.untouched += 1,
+            Ok(true) => {
                 report.patched += 1;
                 DELTA_APPLIED.add(1);
-                report.reached.push(Reach { kind, walk, rows });
             }
             Err(_) => {
                 cache.evict(kind, &walk);
@@ -180,9 +165,9 @@ fn maintain(
 }
 
 /// Patches one entry to an edge change: rebuilds the factors whose run
-/// holds `(a, b)`, recomputes the rows of `H` they reach and splices
-/// them in. Everything fallible runs before the entry is touched, so an
-/// error leaves it as it was. Returns the recomputed rows.
+/// holds `(a, b)`, recomputes the rows of `H` they reach, splices them
+/// in and re-sums their norms. Everything fallible runs before the entry
+/// is touched, so an error leaves it as it was.
 fn patch_edge(
     entry: &mut Entry,
     g_new: &Graph,
@@ -191,7 +176,7 @@ fn patch_edge(
     a: LabelId,
     b: LabelId,
     budget: &Budget,
-) -> Result<Vec<usize>, ExecError> {
+) -> Result<(), ExecError> {
     let segs = segments(mw);
     if segs.len() != entry.factors.len() {
         return Err(ExecError::InvalidInput {
@@ -256,27 +241,31 @@ fn patch_edge(
             .collect();
         let fresh = try_spmm_chain_with_budget_in(&chain, 1, budget, &mut arena)?;
         let (nrows, ncols) = (entry.m.nrows(), entry.m.ncols());
-        Arc::make_mut(&mut entry.m).splice_rows(nrows, ncols, &rows, &fresh);
+        let m = Arc::make_mut(&mut entry.m);
+        m.splice_rows(nrows, ncols, &rows, &fresh);
+        let diag = Arc::make_mut(&mut entry.diag);
+        for &r in &rows {
+            diag[r] = m.row_sq_sum(r);
+        }
     }
     for (slot, new) in entry.factors.iter_mut().zip(rebuilt) {
         if let Some(new) = new {
             *slot = new;
         }
     }
-    Ok(rows)
+    Ok(())
 }
 
-/// Grows one entry by a node without edges added to `l`. Returns the
-/// recomputed rows: the new diagonal row of a single-label walk's
-/// identity, otherwise none (added rows are empty).
-fn grow(entry: &mut Entry, mw: &MetaWalk, l: LabelId) -> Vec<usize> {
+/// Grows one entry by a node without edges added to `l`, norms
+/// included.
+fn grow(entry: &mut Entry, mw: &MetaWalk, l: LabelId) {
     let steps = mw.steps();
     for (f, (lo, hi)) in entry.factors.iter_mut().zip(segments(mw)) {
         widen(f, steps[lo].label() == l, steps[hi].label() == l);
     }
     let (row, col) = (mw.source() == l, mw.target() == l);
     if !(row || col) {
-        return Vec::new();
+        return;
     }
     let m = Arc::make_mut(&mut entry.m);
     if entry.factors.is_empty() {
@@ -289,10 +278,13 @@ fn grow(entry: &mut Entry, mw: &MetaWalk, l: LabelId) -> Vec<usize> {
             &[n],
             &Csr::from_triplets(1, n + 1, [(0, n as u32, 1.0)]),
         );
-        return vec![n];
+    } else {
+        widen(m, row, col);
     }
-    widen(m, row, col);
-    Vec::new()
+    if row {
+        let diag = Arc::make_mut(&mut entry.diag);
+        diag.extend((diag.len()..m.nrows()).map(|r| m.row_sq_sum(r)));
+    }
 }
 
 /// Appends an empty row and/or an empty column.
@@ -354,6 +346,13 @@ mod tests {
         m.iter().map(|(r, c, v)| (r, c, v.to_bits())).collect()
     }
 
+    /// The cached norms of an entry against a cold build's, bit for bit.
+    fn assert_diag(cache: &CommutingCache, kind: CacheKind, mw: &MetaWalk, cold: &Csr) {
+        let bits = |d: &[f64]| d.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let diag = cache.peek_diag(kind, mw).unwrap();
+        assert_eq!(bits(diag), bits(&cold.row_sq_sums()), "{kind:?} {mw:?}");
+    }
+
     #[test]
     fn edge_change_patches_exactly_the_touched_walks() {
         let g = base();
@@ -364,27 +363,24 @@ mod tests {
         // An author–paper edge cannot reach the (paper, cite, paper) walk;
         // both entries of the author walk, plain and informative, patch.
         let (g2, a, b) = add_edge(&g, "author:bob", "paper:p1");
-        let before = cache
+        let (before, before_diag) = cache
             .try_informative_shared(&g, &mws[0], Parallelism::serial(), &Budget::unlimited())
             .unwrap();
         let r = maint.apply_edge_change(&mut cache, &g2, a, b, &Budget::unlimited());
         assert_eq!((r.patched, r.evicted, r.untouched), (2, 0, 1));
         assert_eq!(r.path(), "patch");
-        // Only bob's row reached a changed factor row.
-        assert!(r.reached.iter().all(|x| x.walk == mws[1] && x.rows == [1]));
-        assert_eq!(
-            bits(cache.peek(CacheKind::Informative, &mws[1]).unwrap()),
-            bits(&informative_commuting(&g2, &mws[1]))
-        );
-        assert_eq!(
-            bits(cache.peek(CacheKind::Plain, &mws[1]).unwrap()),
-            bits(&plain_commuting(&g2, &mws[1]))
-        );
-        let kept = cache
+        for (kind, cold) in [
+            (CacheKind::Informative, informative_commuting(&g2, &mws[1])),
+            (CacheKind::Plain, plain_commuting(&g2, &mws[1])),
+        ] {
+            assert_eq!(bits(cache.peek(kind, &mws[1]).unwrap()), bits(&cold));
+            assert_diag(&cache, kind, &mws[1], &cold);
+        }
+        let (kept, kept_diag) = cache
             .try_informative_shared(&g2, &mws[0], Parallelism::serial(), &Budget::unlimited())
             .unwrap();
         assert!(
-            Arc::ptr_eq(&before, &kept),
+            Arc::ptr_eq(&before, &kept) && Arc::ptr_eq(&before_diag, &kept_diag),
             "untouched entry is left in place"
         );
         assert_eq!(cache.stats().evictions, 0);
@@ -412,17 +408,16 @@ mod tests {
         let g2 = mutation::apply(&g, &op).unwrap();
         let r = DeltaMaintainer::new().apply_node_change(&mut cache, l);
         assert_eq!((r.patched, r.evicted, r.untouched), (3, 0, 1));
-        for x in &r.reached {
-            // Only the identity of the single-label walk gains a value.
-            let expect: &[usize] = if x.walk == mws[2] { &[2] } else { &[] };
-            assert_eq!(x.rows, expect, "{:?}", x.walk);
-        }
         for mw in &mws {
+            // The single-label walk's identity gains a diagonal 1 and
+            // its norm 1; every other added row is empty, norm 0.
+            let cold = informative_commuting(&g2, mw);
             assert_eq!(
                 bits(cache.peek(CacheKind::Informative, mw).unwrap()),
-                bits(&informative_commuting(&g2, mw)),
+                bits(&cold),
                 "{mw:?}"
             );
+            assert_diag(&cache, CacheKind::Informative, mw, &cold);
         }
         // The grown factors carry later edge patches.
         let (g3, a, b) = add_edge(&g2, "author:carol", "paper:p3");
@@ -430,11 +425,13 @@ mod tests {
             DeltaMaintainer::new().apply_edge_change(&mut cache, &g3, a, b, &Budget::unlimited());
         assert_eq!((r.patched, r.evicted), (2, 0));
         for mw in &mws {
+            let cold = informative_commuting(&g3, mw);
             assert_eq!(
                 bits(cache.peek(CacheKind::Informative, mw).unwrap()),
-                bits(&informative_commuting(&g3, mw)),
+                bits(&cold),
                 "{mw:?}"
             );
+            assert_diag(&cache, CacheKind::Informative, mw, &cold);
         }
     }
 
@@ -458,28 +455,32 @@ mod tests {
         let r =
             DeltaMaintainer::new().apply_edge_change(&mut cache, &g2, a, b, &Budget::unlimited());
         assert_eq!(r.path(), "patch");
-        let patched = cache.peek_shared(CacheKind::Informative, &mws[0]).unwrap();
-        assert_eq!(Arc::as_ptr(&patched), ptr, "patched in place");
-        assert_eq!(bits(&patched), bits(&informative_commuting(&g2, &mws[0])));
+        let patched = cache.peek(CacheKind::Informative, &mws[0]).unwrap();
+        assert_eq!(std::ptr::from_ref(patched), ptr, "patched in place");
+        assert_eq!(bits(patched), bits(&informative_commuting(&g2, &mws[0])));
     }
 
     #[test]
     fn an_outside_holder_keeps_reading_the_old_values() {
         let g = base();
         let (mut cache, mws) = warm_cache(&g, &["author paper author"]);
-        let held = cache.peek_shared(CacheKind::Informative, &mws[0]).unwrap();
-        let old = bits(&held);
+        let (held, held_diag) = cache
+            .try_informative_shared(&g, &mws[0], Parallelism::serial(), &Budget::unlimited())
+            .unwrap();
+        let (old, old_diag) = (bits(&held), held_diag.to_vec());
         let (g2, a, b) = add_edge(&g, "author:bob", "paper:p1");
         DeltaMaintainer::new().apply_edge_change(&mut cache, &g2, a, b, &Budget::unlimited());
         assert_eq!(
-            bits(&held),
-            old,
-            "copy on write leaves the held matrix alone"
+            (bits(&held), held_diag.to_vec()),
+            (old, old_diag),
+            "copy on write leaves the held matrix and norms alone"
         );
         assert_eq!(bits(&held), bits(&informative_commuting(&g, &mws[0])));
-        let patched = cache.peek_shared(CacheKind::Informative, &mws[0]).unwrap();
-        assert!(!Arc::ptr_eq(&held, &patched));
-        assert_eq!(bits(&patched), bits(&informative_commuting(&g2, &mws[0])));
+        let patched = cache.peek(CacheKind::Informative, &mws[0]).unwrap();
+        assert!(!std::ptr::eq(&*held, patched));
+        let cold = informative_commuting(&g2, &mws[0]);
+        assert_eq!(bits(patched), bits(&cold));
+        assert_diag(&cache, CacheKind::Informative, &mws[0], &cold);
     }
 
     #[test]

@@ -60,7 +60,6 @@ pub mod quarantine;
 pub mod queue;
 pub mod server;
 pub mod service;
-pub mod singleflight;
 pub mod snapshot;
 pub mod wal;
 

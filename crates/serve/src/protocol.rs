@@ -467,7 +467,8 @@ pub struct StatsBody {
     pub queue_capacity: usize,
     /// Commuting matrices resident in the cache.
     pub cache_entries: usize,
-    /// Query engines resident (one per distinct half walk served).
+    /// Walks an exact rank can be served from without a build: the
+    /// informative cache entries, restored ones included.
     pub engines: usize,
     /// Rank breaker state: `"closed"`, `"open"`, `"half-open"`.
     pub breaker: String,

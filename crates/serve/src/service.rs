@@ -3,36 +3,43 @@
 //!
 //! [`QueryService`] is the transport-agnostic core the TCP server (and
 //! the tests) drive. One instance owns the resident state — the current
-//! graph *epoch*, the commuting-matrix cache, the per-walk engine seeds,
-//! the write-ahead log, the circuit breaker, the serving counters — and
-//! answers one request at a time per calling thread; all methods take
-//! `&self` and are safe to share across the worker pool.
+//! graph *epoch*, the commuting-matrix cache, the write-ahead log, the
+//! circuit breaker, the serving counters — and answers one request at a
+//! time per calling thread; all methods take `&self` and are safe to
+//! share across the worker pool.
+//!
+//! The cache is the only index: each informative entry holds the half
+//! matrix `M̂_q` and its row norms `diag`, everything an exact rank needs
+//! (§4.3). No engine outlives its request.
 //!
 //! A rank request flows: breaker admission → walk/entity validation →
 //! budget construction (per-request deadline or the server default) →
-//! engine fast path (a seed matching the current epoch's fingerprint,
-//! exact scores) → on budget exhaustion, one [`BudgetedRPathSim`]
-//! attempt whose degradation tier is reported in the envelope → only
-//! when even the last tier cannot run does the request fail
-//! `exhausted`, feeding the breaker's rank class.
+//! under the state lock, the walk's entry (built on a miss) and the
+//! epoch it is consistent with → outside the lock, an exact rank over
+//! the entry's matrix and norms → on budget exhaustion, one
+//! [`BudgetedRPathSim`] attempt whose degradation tier is reported in the
+//! envelope → only when even the last tier cannot run does the request
+//! fail `exhausted`, feeding the breaker's rank class. A miss builds
+//! while holding the state lock, so concurrent ranks of the same walk
+//! wait for that build and then hit its entry; so do ranks of every
+//! other walk.
 //!
 //! A mutate request flows: mutate-class breaker admission → resolve and
 //! validate against the current epoch → apply to a *copy* of the graph
 //! → durable WAL append (the acknowledgment barrier — nothing is
 //! acknowledged or made visible before the fsync returns) → index
 //! maintenance through [`DeltaMaintainer`], which patches the rows the
-//! mutation reaches in every cache entry it can reach (an entry whose
-//! patch fails is evicted and rebuilds through the single-flight build
-//! path) → seed re-install with `diag` refreshed on those rows → epoch
-//! swap.
-//! Ranking is serialized against mutation by the epoch fingerprint:
-//! seeds and cache entries are only trusted when their fingerprint
-//! matches the epoch that answers, so a rank racing a mutate either
-//! sees the old complete state or the new complete state, never a mix.
+//! mutation reaches, and their norms, in every cache entry it can reach
+//! (an entry whose patch fails is evicted and rebuilds on its next rank)
+//! → epoch swap.
+//! Ranking is serialized against mutation by the state lock: a mutation
+//! maintains the cache and publishes its epoch while holding it, and a
+//! rank reads its entry and the epoch while holding it, so a rank racing
+//! a mutate either sees the old complete state or the new complete
+//! state, never a mix.
 
 use repsim_audit::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use repsim_audit::sync::{Arc, Mutex, MutexGuard, RwLock};
-use std::collections::HashMap;
 use std::path::Path;
 use std::time::Duration;
 
@@ -40,16 +47,15 @@ use repsim_core::{BudgetedRPathSim, Degradation, QueryEngine};
 use repsim_graph::mutation::{self, Touch};
 use repsim_graph::{Graph, LabelId, MutationOp};
 use repsim_metawalk::commuting::{CacheKind, CommutingCache};
-use repsim_metawalk::delta::{walk_mentions, walk_touches_edge, DeltaMaintainer};
+use repsim_metawalk::delta::DeltaMaintainer;
 use repsim_metawalk::MetaWalk;
 use repsim_obs::CounterHandle;
 use repsim_sparse::budget::failpoints;
-use repsim_sparse::{Budget, Csr, ExecError, Parallelism};
+use repsim_sparse::{Budget, ExecError, Parallelism};
 
 use crate::breaker::{BreakerConfig, CircuitBreaker, OpClass};
 use crate::error::ServiceError;
 use crate::protocol::{RankEntry, StatsBody};
-use crate::singleflight::{Entry as FlightEntry, SingleFlight};
 use crate::snapshot::{self, graph_fingerprint, LoadOutcome, SaveStats, SnapshotError};
 use crate::wal::{Wal, WalError};
 
@@ -139,23 +145,13 @@ pub struct WalRecovery {
     pub quarantined: bool,
 }
 
-/// One graph version. Everything derived from the graph (cache entries,
-/// engine seeds) is tagged with `fp` and trusted only on exact match.
+/// One graph version. The cache is consistent with the epoch published
+/// under the same state lock.
 #[derive(Clone)]
 struct Epoch {
     g: Arc<Graph>,
     fp: u64,
     seq: u64,
-}
-
-/// A cached engine seed: the shared half-matrix and diagonal for one
-/// walk, valid only for the graph whose fingerprint is `fp`. Rebuilding
-/// a [`QueryEngine`] from a seed is O(validation), not O(SpGEMM). `m`
-/// is the commuting cache's own allocation, not a copy of it.
-struct Seed {
-    fp: u64,
-    m: Arc<Csr>,
-    diag: Arc<Vec<f64>>,
 }
 
 /// The resident query service. See the module docs for the request
@@ -167,10 +163,8 @@ pub struct QueryService {
     /// swap the epoch while holding this lock, so anyone holding it sees
     /// a stable epoch.
     state: Mutex<CommutingCache>,
-    seeds: RwLock<HashMap<MetaWalk, Seed>>,
     wal: Mutex<Option<Wal>>,
     breaker: CircuitBreaker,
-    flights: SingleFlight,
     requests: AtomicU64,
     shed: AtomicU64,
     degraded: AtomicU64,
@@ -195,9 +189,7 @@ impl QueryService {
             cfg,
             epoch: RwLock::new(Epoch { g, fp, seq: 0 }),
             state: Mutex::new(CommutingCache::new()),
-            seeds: RwLock::new(HashMap::new()),
             wal: Mutex::new(None),
-            flights: SingleFlight::new(),
             requests: AtomicU64::new(0),
             shed: AtomicU64::new(0),
             degraded: AtomicU64::new(0),
@@ -285,8 +277,7 @@ impl QueryService {
         self.requests.fetch_add(1, Ordering::Relaxed);
         REQUESTS.add(1);
 
-        let epoch = self.epoch_snapshot();
-        let g = Arc::clone(&epoch.g);
+        let g = self.graph();
         let mw = MetaWalk::parse_in(&g, walk)
             .ok_or_else(|| ServiceError::BadRequest(format!("walk {walk:?} does not parse")))?;
         let label_id = g
@@ -310,7 +301,7 @@ impl QueryService {
             std::thread::sleep(Duration::from_millis(25));
         }
 
-        match self.rank_with(&epoch, &mw, query, k, &budget) {
+        match self.rank_with(&mw, query, k, &budget) {
             Ok(answer) => {
                 // Per-tier breakdown for the `repsim top` dashboard;
                 // `degraded` stays the roll-up the stats body reports.
@@ -348,61 +339,34 @@ impl QueryService {
         })
     }
 
-    /// The execution core: seeded engine when the seed matches the
-    /// epoch, cache build otherwise, budgeted degradation cascade as
-    /// the fallback. In shard mode every tier ranks only this
-    /// instance's row band of the answering epoch.
+    /// The execution core: an exact rank over the walk's cache entry,
+    /// built on a miss, with the budgeted degradation cascade as the
+    /// fallback. In shard mode every tier ranks only this instance's row
+    /// band of the answering epoch.
     fn rank_with(
         &self,
-        epoch: &Epoch,
         mw: &MetaWalk,
         query: repsim_graph::NodeId,
         k: usize,
         budget: &Budget,
     ) -> Result<RankAnswer, ExecError> {
-        // Seed fast path: shared parts tagged with this epoch's
-        // fingerprint reconstruct the engine without any matrix work.
-        if let Some(answer) = self.seed_answer(epoch, mw, query, k) {
-            return Ok(answer);
-        }
-        // Single-flight: concurrent misses on one (fingerprint, walk)
-        // share the leader's commuting-matrix product and engine build
-        // instead of piling onto the state lock. A follower re-checks
-        // the seed once the leader lands and only builds itself when
-        // the leader failed or timed out.
-        let max_wait = budget
-            .remaining_time()
-            .unwrap_or(Duration::from_secs(5))
-            .min(Duration::from_secs(5));
-        let _flight = match self.flights.join(epoch.fp, mw, max_wait) {
-            FlightEntry::Leader(guard) => Some(guard),
-            FlightEntry::Waited | FlightEntry::TimedOut => {
-                if let Some(answer) = self.seed_answer(epoch, mw, query, k) {
-                    return Ok(answer);
-                }
-                None
-            }
-        };
-        // Build path. The epoch cannot advance while we hold the state
-        // lock (mutations swap it under the same lock), so re-reading
-        // inside gives the graph the cache is consistent with. Node and
-        // label ids are stable across epochs (mutations never delete or
-        // renumber), so `mw` and `query` stay valid. The matrix leaves
-        // the lock as a handle on the cache entry, so the engine and the
-        // seed share the cache's allocation.
-        let built = {
+        // The epoch cannot advance while we hold the state lock
+        // (mutations swap it under the same lock), so re-reading it inside
+        // gives the graph the cache is consistent with. Node and label ids
+        // are stable across epochs (mutations never delete or renumber),
+        // so `mw` and `query` stay valid. Matrix and norms leave the lock
+        // as handles on the entry, and the rank runs outside it.
+        let found = {
             let mut cache = self.state_lock();
             let epoch = self.epoch_snapshot();
             match cache.try_informative_shared(&epoch.g, mw, self.cfg.par, budget) {
-                Ok(m) => Some((epoch, m)),
+                Ok((m, diag)) => Some((epoch, m, diag)),
                 Err(e) if e.is_exhaustion() => None,
                 Err(e) => return Err(e),
             }
         };
-        if let Some((epoch, m)) = built {
-            let engine = QueryEngine::try_from_half_matrix(&epoch.g, mw.clone(), m, self.cfg.par)?;
-            let (m, diag) = engine.shared_parts();
-            self.install_seed(mw, epoch.fp, m, diag);
+        if let Some((epoch, m, diag)) = found {
+            let engine = QueryEngine::try_from_shared(&epoch.g, mw.clone(), m, diag, self.cfg.par)?;
             let band = self.band_for(&epoch.g, mw.source());
             let ranked = engine.rank_band_ref(query, mw.source(), k, band);
             return Ok(RankAnswer {
@@ -440,41 +404,6 @@ impl QueryService {
             fingerprint: epoch.fp,
             seq: epoch.seq,
         })
-    }
-
-    /// Answers from the engine seed tagged with `epoch`'s fingerprint,
-    /// if one is installed (the zero-SpGEMM fast path).
-    fn seed_answer(
-        &self,
-        epoch: &Epoch,
-        mw: &MetaWalk,
-        query: repsim_graph::NodeId,
-        k: usize,
-    ) -> Option<RankAnswer> {
-        let (m, diag) = self.seed_parts(mw, epoch.fp)?;
-        let engine =
-            QueryEngine::try_from_shared(&epoch.g, mw.clone(), m, diag, self.cfg.par).ok()?;
-        let band = self.band_for(&epoch.g, mw.source());
-        let ranked = engine.rank_band_ref(query, mw.source(), k, band);
-        Some(RankAnswer {
-            tier: "exact".to_owned(),
-            results: entries_of(&epoch.g, &ranked),
-            fingerprint: epoch.fp,
-            seq: epoch.seq,
-        })
-    }
-
-    fn seed_parts(&self, mw: &MetaWalk, fp: u64) -> Option<(Arc<Csr>, Arc<Vec<f64>>)> {
-        let seeds = self.seeds.read().unwrap_or_else(|e| e.into_inner());
-        seeds
-            .get(mw)
-            .filter(|s| s.fp == fp)
-            .map(|s| (Arc::clone(&s.m), Arc::clone(&s.diag)))
-    }
-
-    fn install_seed(&self, mw: &MetaWalk, fp: u64, m: Arc<Csr>, diag: Arc<Vec<f64>>) {
-        let mut seeds = self.seeds.write().unwrap_or_else(|e| e.into_inner());
-        seeds.insert(mw.clone(), Seed { fp, m, diag });
     }
 
     /// Applies one mutation. Returns the post-mutation fingerprint
@@ -532,56 +461,15 @@ impl QueryService {
             }
         };
 
-        // Seeds: untouched walks keep their matrices and merely re-tag to
-        // the new fingerprint. The seeds of reached walks come out first,
-        // keeping only their diagonals, so the cache holds the only handle
-        // on those matrices and patches them in place.
-        let mut reached_diags = Vec::new();
-        {
-            let mut seeds = self.seeds.write().unwrap_or_else(|e| e.into_inner());
-            seeds.retain(|mw, seed| {
-                let reached = match touch {
-                    Touch::Edge(a, b) => walk_touches_edge(mw, a, b),
-                    Touch::Node(l) => walk_mentions(mw, l),
-                };
-                if reached && seed.fp == epoch.fp {
-                    reached_diags.push((mw.clone(), Arc::clone(&seed.diag)));
-                } else if seed.fp == epoch.fp {
-                    seed.fp = fp_after;
-                }
-                !reached
-            });
-        }
-
         // Index maintenance never fails past this point: an entry whose
-        // patch fails is evicted and rebuilds on next use.
+        // patch fails is evicted and rebuilds on next use. The cache
+        // holds the only handles on its matrices and norms unless a rank
+        // is still reading them, so the patch edits them in place.
         let mut maintainer = DeltaMaintainer::new();
         let report = match touch {
             Touch::Edge(a, b) => maintainer.apply_edge_change(&mut cache, &g_new, a, b, &budget),
             Touch::Node(l) => maintainer.apply_node_change(&mut cache, l),
         };
-
-        // Re-install the reached seeds at the new fingerprint, with the
-        // diagonal recomputed on the patched rows only, so the next rank
-        // takes the seed fast path. A walk whose entry was evicted stays
-        // unseeded until a rank rebuilds it.
-        for (mw, mut diag) in reached_diags {
-            let patched = report
-                .reached
-                .iter()
-                .find(|r| r.kind == CacheKind::Informative && r.walk == mw);
-            let (Some(patched), Some(m)) =
-                (patched, cache.peek_shared(CacheKind::Informative, &mw))
-            else {
-                continue;
-            };
-            let d = Arc::make_mut(&mut diag);
-            d.extend((d.len()..m.nrows()).map(|r| m.row_sq_sum(r)));
-            for &r in &patched.rows {
-                d[r] = m.row_sq_sum(r);
-            }
-            self.install_seed(&mw, fp_after, m, diag);
-        }
 
         // Publish the new epoch (still under the state lock, so ranks
         // building from the cache never see a graph/cache mismatch).
@@ -647,6 +535,13 @@ impl QueryService {
     /// transport's and passed in.
     pub fn stats_body(&self, queue_depth: usize, queue_capacity: usize) -> StatsBody {
         let epoch = self.epoch_snapshot();
+        let (cache_entries, engines) = {
+            let cache = self.state_lock();
+            let informative = cache
+                .entries()
+                .filter(|(kind, ..)| *kind == CacheKind::Informative);
+            (cache.len(), informative.count())
+        };
         StatsBody {
             requests: self.requests.load(Ordering::Relaxed),
             shed: self.shed.load(Ordering::Relaxed),
@@ -654,8 +549,8 @@ impl QueryService {
             exhausted: self.exhausted.load(Ordering::Relaxed),
             queue_depth,
             queue_capacity,
-            cache_entries: self.state_lock().len(),
-            engines: self.seeds.read().unwrap_or_else(|e| e.into_inner()).len(),
+            cache_entries,
+            engines,
             breaker: self.breaker.state_name_class(OpClass::Rank).to_owned(),
             breaker_mutate: self.breaker.state_name_class(OpClass::Mutate).to_owned(),
             snapshot_restored: self.snapshot_restored.load(Ordering::Relaxed),
@@ -782,31 +677,12 @@ mod tests {
         assert_eq!(stats.requests, 1);
         assert_eq!(stats.engines, 1);
         assert!(stats.cache_entries >= 1);
-        // Second call hits the resident seed.
+        // Second call hits the resident cache entry.
         let (tier2, results2) = s
             .handle_rank("conf paper dom", "conf", "c0", 5, None)
             .unwrap();
         assert_eq!(tier2, "exact");
         assert_eq!(results, results2);
-    }
-
-    #[test]
-    fn cold_rank_seed_shares_the_cache_allocation() {
-        let g = mas_like();
-        let s = svc(&g);
-        s.handle_rank("conf paper dom", "conf", "c0", 5, None)
-            .unwrap();
-        let mw = MetaWalk::parse_in(&g, "conf paper dom").unwrap();
-        let fp = graph_fingerprint(&g);
-        let (seed, _) = s.seed_parts(&mw, fp).expect("seed installed");
-        let cached = s
-            .state_lock()
-            .try_informative_shared(&g, &mw, Parallelism::serial(), &Budget::unlimited())
-            .unwrap();
-        assert!(
-            Arc::ptr_eq(&seed, &cached),
-            "seed and cache hold one matrix"
-        );
     }
 
     #[test]
@@ -942,12 +818,19 @@ mod tests {
     }
 
     #[test]
-    fn mutate_reinstalls_the_patched_seed_at_the_new_fingerprint() {
+    fn mutate_patches_the_served_entry_in_place() {
         let g = mas_like();
         let s = svc(&g);
         let mw = MetaWalk::parse_in(&g, "conf paper dom").unwrap();
         s.handle_rank("conf paper dom", "conf", "c0", 5, None)
             .unwrap();
+        let served = |s: &QueryService| {
+            let cache = s.state_lock();
+            let m = cache.peek(CacheKind::Informative, &mw).unwrap();
+            let diag = cache.peek_diag(CacheKind::Informative, &mw).unwrap();
+            (std::ptr::from_ref(m), m.clone(), diag.to_vec())
+        };
+        let (ptr, ..) = served(&s);
         for op in [
             MutationOp::AddEdge {
                 a: eref("paper", "p3"),
@@ -960,21 +843,17 @@ mod tests {
         ] {
             let (_, _, path) = s.handle_mutate(&op, None).unwrap();
             assert_eq!(path, "patch", "{op}");
-            // The next rank finds a seed for the new epoch: the patched
-            // cache matrix itself, with a diagonal equal to a cold one.
-            let g2 = s.graph();
-            let (m, diag) = s
-                .seed_parts(&mw, graph_fingerprint(&g2))
-                .expect("seed re-installed");
-            let cached = s
-                .state_lock()
-                .peek_shared(CacheKind::Informative, &mw)
-                .unwrap();
-            assert!(Arc::ptr_eq(&m, &cached), "seed and cache hold one matrix");
-            let cold = repsim_metawalk::informative_commuting(&g2, &mw);
-            assert_eq!(*m, cold);
+            // No rank holds the entry between requests, so the patch
+            // edits the matrix the rank was served from, not a copy, and
+            // its norms equal a cold build's.
+            let (now, m, diag) = served(&s);
+            assert_eq!(now, ptr, "{op}: patched in the same allocation");
+            let cold = repsim_metawalk::informative_commuting(&s.graph(), &mw);
+            assert_eq!(m, cold, "{op}");
             let bits = |d: &[f64]| d.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-            assert_eq!(bits(&diag), bits(&cold.row_sq_sums()));
+            assert_eq!(bits(&diag), bits(&cold.row_sq_sums()), "{op}");
+            s.handle_rank("conf paper dom", "conf", "c0", 5, None)
+                .unwrap();
         }
     }
 
@@ -1147,6 +1026,33 @@ mod tests {
             );
             assert_eq!(a.score.to_bits(), b.score.to_bits());
         }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn first_rank_after_restore_is_a_cache_hit() {
+        let g = mas_like();
+        let dir = std::env::temp_dir().join(format!("repsim-svc-hit-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("idx.snap");
+        let warm = svc(&g);
+        warm.handle_rank("conf paper dom", "conf", "c0", 5, None)
+            .unwrap();
+        warm.save_snapshot(&path).unwrap();
+
+        let s = svc(&g);
+        assert_eq!(s.restore(&path).unwrap(), Restore::Restored { entries: 1 });
+        assert_eq!(s.stats_body(0, 1).engines, 1, "the restored walk counts");
+        // An expired deadline would exhaust any build, so an exact answer
+        // is served from the restored entry; the miss count, which
+        // `repsim.metawalk.cache.miss` mirrors, does not move.
+        let misses = s.state_lock().stats().misses;
+        let (tier, _) = s
+            .handle_rank("conf paper dom", "conf", "c0", 5, Some(0))
+            .unwrap();
+        assert_eq!(tier, "exact");
+        assert_eq!(s.state_lock().stats().misses, misses);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -10,9 +10,10 @@
 //!    after every single operation, every warmed entry, plain and
 //!    informative, is still present (an unlimited budget never fails a
 //!    patch) and equals its commuting matrix recomputed from scratch,
-//!    bit for bit, and the recovered WAL replays into a graph with the
-//!    acknowledged fingerprint. The walks cover same-label hops, a
-//!    \*-label, a single label and an asymmetric pair of end labels.
+//!    bit for bit, row norms included, and the recovered WAL replays
+//!    into a graph with the acknowledged fingerprint. The walks cover
+//!    same-label hops, a \*-label, a single label and an asymmetric pair
+//!    of end labels.
 //! 2. **Service level** — `QueryService::handle_mutate` sequences: the
 //!    warm service ranks exactly like a cold service built on the final
 //!    graph, and a fresh service recovering the same WAL converges to
@@ -154,6 +155,11 @@ fn bits(m: &repsim_sparse::Csr) -> (usize, usize, Vec<(usize, usize, u64)>) {
     (m.nrows(), m.ncols(), entries)
 }
 
+/// The bit patterns of a vector of row norms.
+fn diag_bits(d: &[f64]) -> Vec<u64> {
+    d.iter().map(|v| v.to_bits()).collect()
+}
+
 /// A fresh WAL path for one proptest case (cases run concurrently).
 fn wal_path(tag: &str) -> PathBuf {
     static N: AtomicUsize = AtomicUsize::new(0);
@@ -170,8 +176,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     /// Maintainer-level gate: every warmed entry present and
-    /// bit-identical after every op, and the WAL replays to the
-    /// acknowledged fingerprint.
+    /// bit-identical after every op, matrix and row norms, and the WAL
+    /// replays to the acknowledged fingerprint.
     #[test]
     fn maintained_index_is_bit_identical_to_cold_rebuild(plan in plan_strategy(12)) {
         let g0 = seed_graph();
@@ -211,7 +217,9 @@ proptest! {
             cur = next;
             applied += 1;
             // The gate: every warmed entry survives the op and equals a
-            // cold recomputation on the post-mutation graph, bit for bit.
+            // cold recomputation on the post-mutation graph, bit for bit,
+            // and so do the row norms kept beside it (the PathSim
+            // denominators a rank reads).
             prop_assert_eq!(cache.len(), warmed, "step {}: an entry was evicted", step);
             for mw in &walks {
                 let mut kinds = vec![(CacheKind::Informative, informative_commuting(&cur, mw))];
@@ -222,6 +230,11 @@ proptest! {
                     let m = cache.peek(kind, mw);
                     prop_assert!(m.is_some(), "step {}: {:?} {} absent", step, kind, mw);
                     prop_assert_eq!(bits(m.unwrap()), bits(&cold), "step {}: {:?} {}", step, kind, mw);
+                    prop_assert_eq!(
+                        diag_bits(cache.peek_diag(kind, mw).unwrap()),
+                        diag_bits(&cold.row_sq_sums()),
+                        "step {}: {:?} {} norms", step, kind, mw
+                    );
                 }
             }
         }
